@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <deque>
 #include <limits>
 #include <unordered_set>
@@ -43,13 +44,19 @@ namespace {
 
 /// The simulator parameters participate in evaluation identity: the same
 /// kernel timed under a different machine calibration is a different cost.
-std::string simFingerprint(const SimConfig &Sim) {
-  return formatString(
-      "|sim{%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g}",
-      Sim.ClockGHz, Sim.TensorCoreFlopsPerCycle, Sim.TmaBytesPerCycle,
-      Sim.SimtGlobalBytesPerCycle, Sim.SimtLocalBytesPerCycle,
-      Sim.SimtFlopsPerCycle, Sim.GlobalLatency, Sim.TensorCoreLatency,
-      Sim.SimtLatency);
+/// Digested bit-exactly, once per tune.
+Digest128 simDigest(const SimConfig &Sim) {
+  ContentHasher H;
+  for (double Param :
+       {Sim.ClockGHz, Sim.TensorCoreFlopsPerCycle, Sim.TmaBytesPerCycle,
+        Sim.SimtGlobalBytesPerCycle, Sim.SimtLocalBytesPerCycle,
+        Sim.SimtFlopsPerCycle, Sim.GlobalLatency, Sim.TensorCoreLatency,
+        Sim.SimtLatency}) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &Param, sizeof(Bits));
+    H.word(Bits);
+  }
+  return H.finish();
 }
 
 /// Content seed for the guided search's PRNG: the kernel name and the axis
@@ -127,7 +134,7 @@ TaskRegistry &Tuner::registryFor(const KernelSearchSpec &Spec) {
 std::vector<CandidateResult>
 Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
                      const MachineModel &Machine, const SimConfig &Sim,
-                     const std::string &SimKey,
+                     const Digest128 &SimKey,
                      std::vector<TuningPoint> Points,
                      const CompileOptions &Options, TuneStats &Stats) {
   std::vector<CandidateResult> Rows(Points.size());
@@ -138,7 +145,7 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
   std::deque<MappingSpec> Mappings;
   struct PendingEval {
     size_t Row;
-    std::string CostKey;
+    Digest128 CostKey;
   };
   std::vector<PendingEval> Pending;
   std::vector<CompilerSession::Request> Requests;
@@ -150,10 +157,10 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
     Mappings.push_back(Spec.BuildMapping(Row.Point));
     CompileInput Input{&Registry, &Mappings.back(), &Machine,
                        Spec.BuildArgs(Row.Point)};
-    // One serialization per candidate: the session key doubles as the
-    // cost-cache key's prefix and rides along in the request.
-    std::string SessionKey = CompilerSession::cacheKey(Input);
-    std::string CostKey = SessionKey + SimKey;
+    Digest128 CostKey = ContentHasher()
+                            .digest(CompilerSession::cacheKey(Input))
+                            .digest(SimKey)
+                            .finish();
 
     {
       std::lock_guard<std::mutex> Lock(CostMutex);
@@ -183,9 +190,8 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
       }
     }
 
-    Pending.push_back({P, std::move(CostKey)});
-    Requests.push_back(
-        {std::move(Input), Spec.KernelName, std::move(SessionKey)});
+    Pending.push_back({P, CostKey});
+    Requests.push_back({std::move(Input), Spec.KernelName, {}});
   }
 
   // Compile and evaluate every fresh candidate through the session's
@@ -259,7 +265,7 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
         faultFires(FaultSite::CostCorrupt, Row.Point.str()))
       Eval.TFlops = std::numeric_limits<double>::quiet_NaN();
     std::lock_guard<std::mutex> Lock(CostMutex);
-    CostCache.emplace(std::move(Pending[I].CostKey), std::move(Eval));
+    CostCache.emplace(Pending[I].CostKey, std::move(Eval));
   }
 
   for (const CandidateResult &Row : Rows)
@@ -307,7 +313,7 @@ TuneResult Tuner::tune(const KernelSearchSpec &Spec,
   Result.Stats.Pruned = PrunedRows.size();
 
   Result.Landscape =
-      evaluateBatch(Spec, Registry, Machine, Sim, simFingerprint(Sim),
+      evaluateBatch(Spec, Registry, Machine, Sim, simDigest(Sim),
                     std::move(Feasible), CompileOptions(), Result.Stats);
   Result.Landscape.reserve(Space.size());
   for (CandidateResult &Row : PrunedRows)
@@ -332,7 +338,7 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
 
   MappingSpace Space(Spec, Machine);
   TaskRegistry &Registry = registryFor(Spec);
-  const std::string SimKey = simFingerprint(Sim);
+  const Digest128 SimKey = simDigest(Sim);
 
   TuneResult Result;
   Result.Stats.Candidates = Space.size();

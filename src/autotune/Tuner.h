@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace cypress {
@@ -261,13 +262,14 @@ private:
   std::vector<CandidateResult>
   evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
                 const MachineModel &Machine, const SimConfig &Sim,
-                const std::string &SimKey, std::vector<TuningPoint> Points,
+                const Digest128 &SimKey, std::vector<TuningPoint> Points,
                 const CompileOptions &Options, TuneStats &Stats);
 
   std::unique_ptr<CompilerSession> OwnedSession; ///< Only for Tuner().
   CompilerSession *Session = nullptr;
   mutable std::mutex CostMutex;
-  std::map<std::string, CachedEval> CostCache;
+  /// Keyed on the kernel's cacheKey mixed with the simulator digest.
+  std::unordered_map<Digest128, CachedEval, Digest128Hash> CostCache;
   std::map<std::string, std::unique_ptr<TaskRegistry>> Registries;
 };
 

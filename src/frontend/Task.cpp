@@ -29,6 +29,29 @@ uint64_t TaskRegistry::nextUid() {
   return Counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+void TaskRegistry::refreshDigest() {
+  ContentHasher H;
+  H.word(Uid).word(Variants.size());
+  for (const auto &[Name, V] : Variants) {
+    H.str(Name).str(V.Task).word(static_cast<uint64_t>(V.Kind));
+    H.word(V.Params.size());
+    for (const TaskParam &Param : V.Params)
+      H.str(Param.Name)
+          .word(Param.Rank)
+          .word(static_cast<uint64_t>(Param.Element))
+          .word(static_cast<uint64_t>(Param.Priv));
+    if (V.Kind == VariantKind::Leaf)
+      H.str(V.Leaf.Function).word(static_cast<uint64_t>(V.Leaf.Unit));
+  }
+  Digest = H.finish();
+}
+
+void TaskRegistry::reset() {
+  Variants.clear();
+  Uid = nextUid();
+  refreshDigest();
+}
+
 void TaskRegistry::addInner(std::string Task, std::string Variant,
                             std::vector<TaskParam> Params, InnerBody Body) {
   assert(!hasVariant(Variant) && "variant name already registered");
@@ -39,6 +62,7 @@ void TaskRegistry::addInner(std::string Task, std::string Variant,
   V.Params = std::move(Params);
   V.Body = std::move(Body);
   Variants.emplace(std::move(Variant), std::move(V));
+  refreshDigest();
 }
 
 void TaskRegistry::addLeaf(std::string Task, std::string Variant,
@@ -51,6 +75,7 @@ void TaskRegistry::addLeaf(std::string Task, std::string Variant,
   V.Params = std::move(Params);
   V.Leaf = std::move(Leaf);
   Variants.emplace(std::move(Variant), std::move(V));
+  refreshDigest();
 }
 
 const TaskVariant &TaskRegistry::variant(const std::string &Variant) const {

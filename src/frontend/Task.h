@@ -24,6 +24,7 @@
 
 #include "ir/IR.h"
 #include "machine/Machine.h"
+#include "support/Hash.h"
 #include "tensor/Partition.h"
 #include "tensor/Shape.h"
 
@@ -113,18 +114,35 @@ struct TaskVariant {
 /// Registry of all task variants of a program.
 class TaskRegistry {
 public:
-  TaskRegistry() : Uid(nextUid()) {}
+  TaskRegistry() : Uid(nextUid()) { refreshDigest(); }
   /// Copies get a fresh uid: inner bodies are opaque callables, so a copy
   /// cannot be proven behaviorally identical to its source.
   TaskRegistry(const TaskRegistry &Other)
-      : Variants(Other.Variants), Uid(nextUid()) {}
+      : Variants(Other.Variants), Uid(nextUid()) {
+    refreshDigest();
+  }
   TaskRegistry &operator=(const TaskRegistry &Other) {
     Variants = Other.Variants;
     Uid = nextUid();
+    refreshDigest();
     return *this;
   }
-  TaskRegistry(TaskRegistry &&) = default;
-  TaskRegistry &operator=(TaskRegistry &&) = default;
+  /// A move hands the identity over and leaves the source an empty
+  /// registry with a fresh uid, so refilling it never aliases the target.
+  TaskRegistry(TaskRegistry &&Other)
+      : Variants(std::move(Other.Variants)), Uid(Other.Uid),
+        Digest(Other.Digest) {
+    Other.reset();
+  }
+  TaskRegistry &operator=(TaskRegistry &&Other) {
+    if (this != &Other) {
+      Variants = std::move(Other.Variants);
+      Uid = Other.Uid;
+      Digest = Other.Digest;
+      Other.reset();
+    }
+    return *this;
+  }
 
   /// Registers an inner variant; asserts the variant name is fresh.
   void addInner(std::string Task, std::string Variant,
@@ -142,8 +160,7 @@ public:
   /// All variants implementing \p Task.
   std::vector<std::string> variantsOf(const std::string &Task) const;
 
-  /// Every registered variant, keyed by variant name. Used by the session
-  /// cache to fingerprint a registry's structure.
+  /// Every registered variant, keyed by variant name.
   const std::map<std::string, TaskVariant> &variants() const {
     return Variants;
   }
@@ -154,11 +171,21 @@ public:
   /// the object address, which the allocator may reuse.
   uint64_t uid() const { return Uid; }
 
+  /// 128-bit digest of the uid plus the registry's structure: every
+  /// variant's task, name, kind, parameter signature, and leaf binding.
+  /// Refreshed by addInner/addLeaf (the only mutators), so the session
+  /// cache key reads it instead of walking the variants.
+  const Digest128 &digest() const { return Digest; }
+
 private:
   static uint64_t nextUid();
+  void refreshDigest();
+  /// Empty registry with a fresh uid (the state a move leaves behind).
+  void reset();
 
   std::map<std::string, TaskVariant> Variants;
   uint64_t Uid;
+  Digest128 Digest;
 };
 
 /// The recording interface available to inner task bodies. Implemented by

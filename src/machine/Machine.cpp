@@ -51,6 +51,19 @@ MachineModel::MachineModel(std::string Name, std::vector<ProcessorLevel> Levels,
     (void)Mem; // Only inspected by the assert below.
     assert(hasLevel(Mem.Scope) && "memory scope names an unknown level");
   }
+
+  ContentHasher H;
+  H.str(this->Name).word(this->Levels.size());
+  for (const ProcessorLevel &Level : this->Levels)
+    H.word(static_cast<uint64_t>(Level.Kind))
+        .word(static_cast<uint64_t>(Level.FanOut))
+        .word(static_cast<uint64_t>(Level.ThreadsPerInstance));
+  H.word(this->Memories.size());
+  for (const MemoryLevel &Mem : this->Memories)
+    H.word(static_cast<uint64_t>(Mem.Kind))
+        .word(static_cast<uint64_t>(Mem.Scope))
+        .word(static_cast<uint64_t>(Mem.CapacityBytes));
+  Digest = H.finish();
 }
 
 bool MachineModel::hasLevel(Processor Proc) const {

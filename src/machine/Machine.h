@@ -17,6 +17,8 @@
 #ifndef CYPRESS_MACHINE_MACHINE_H
 #define CYPRESS_MACHINE_MACHINE_H
 
+#include "support/Hash.h"
+
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -82,6 +84,12 @@ public:
   const std::vector<ProcessorLevel> &levels() const { return Levels; }
   const std::vector<MemoryLevel> &memories() const { return Memories; }
 
+  /// 128-bit digest of the full content (name, every level, every memory
+  /// including its capacity), computed once in the constructor. Content,
+  /// not address, so stack-allocated variants from autotuning sweeps never
+  /// alias through a recycled address.
+  const Digest128 &digest() const { return Digest; }
+
   /// True if the machine has the given processor level.
   bool hasLevel(Processor Proc) const;
 
@@ -132,6 +140,7 @@ private:
   std::string Name;
   std::vector<ProcessorLevel> Levels;
   std::vector<MemoryLevel> Memories;
+  Digest128 Digest;
 };
 
 /// Hardware constants for the simulated H100 used by the performance model.

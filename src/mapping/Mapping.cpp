@@ -19,6 +19,40 @@ MappingSpec::MappingSpec(std::vector<TaskMapping> Instances)
         Index.emplace(this->Instances[I].Instance, I);
     assert(Fresh && "duplicate mapping instance name");
   }
+
+  // Field for field what fingerprint() prints, each string and sequence
+  // framed by its length.
+  ContentHasher H;
+  H.word(this->Instances.size());
+  for (const TaskMapping &Inst : this->Instances) {
+    H.str(Inst.Instance).str(Inst.Variant);
+    H.word(static_cast<uint64_t>(Inst.Proc));
+    H.word(Inst.Mems.size());
+    for (Memory Mem : Inst.Mems)
+      H.word(static_cast<uint64_t>(Mem));
+    H.word(Inst.Tunables.size());
+    for (const auto &[Key, Value] : Inst.Tunables)
+      H.str(Key).word(static_cast<uint64_t>(Value));
+    H.word(Inst.ProcTunables.size());
+    for (const auto &[Key, Value] : Inst.ProcTunables)
+      H.str(Key).word(static_cast<uint64_t>(Value));
+    H.word(Inst.TempMems.size());
+    for (const auto &[Key, Value] : Inst.TempMems)
+      H.str(Key).word(static_cast<uint64_t>(Value));
+    H.word(Inst.Calls.size());
+    for (const std::string &Call : Inst.Calls)
+      H.str(Call);
+    H.word(Inst.ArgPipeline.size());
+    for (const auto &[Key, Value] : Inst.ArgPipeline)
+      H.str(Key).word(static_cast<uint64_t>(Value));
+    H.word(Inst.SimtCopyParams.size());
+    for (const std::string &Param : Inst.SimtCopyParams)
+      H.str(Param);
+    H.word(Inst.Entrypoint).word(Inst.WarpSpecialize);
+    H.word(static_cast<uint64_t>(Inst.PipelineDepth));
+    H.word(static_cast<uint64_t>(Inst.SharedLimitBytes));
+  }
+  Digest = H.finish();
 }
 
 const TaskMapping &MappingSpec::instance(const std::string &Name) const {

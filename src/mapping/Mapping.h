@@ -22,6 +22,7 @@
 #include "frontend/Task.h"
 #include "machine/Machine.h"
 #include "support/Error.h"
+#include "support/Hash.h"
 
 #include <map>
 #include <optional>
@@ -79,7 +80,7 @@ struct TaskMapping {
 /// A full mapping specification plus lookup and validation.
 class MappingSpec {
 public:
-  MappingSpec() = default;
+  MappingSpec() : MappingSpec(std::vector<TaskMapping>()) {}
   explicit MappingSpec(std::vector<TaskMapping> Instances);
 
   const std::vector<TaskMapping> &instances() const { return Instances; }
@@ -101,10 +102,16 @@ public:
   /// Canonical content serialization: every instance in declaration order
   /// with its variant, processor, memory placements, tunables, calls, and
   /// pipeline/warp-specialization knobs. Two specs with equal fingerprints
-  /// lower identically, so mappings are comparable and hashable as values —
-  /// the CompilerSession kernel-cache key and the autotuner's cost cache
-  /// are both built on this.
+  /// lower identically, so mappings are comparable as values. This is the
+  /// human-readable identity (diagnostics, fault-injection keys, equality);
+  /// caches key on digest().
   std::string fingerprint() const;
+
+  /// 128-bit digest of every field fingerprint() serializes, with explicit
+  /// length framing. Computed once in the constructor (a spec is immutable
+  /// afterwards) and carried by copies and moves, so the CompilerSession
+  /// kernel-cache key costs two words for the whole mapping.
+  const Digest128 &digest() const { return Digest; }
 
   /// Content equality (fingerprint comparison). Enumerated candidate specs
   /// from the autotuner compare by what they say, never by address.
@@ -127,6 +134,7 @@ public:
 private:
   std::vector<TaskMapping> Instances;
   std::map<std::string, size_t> Index;
+  Digest128 Digest;
 };
 
 } // namespace cypress

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -197,71 +196,18 @@ void CompilerSession::parallelFor(size_t Items,
 // Cache key
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void appendTensorType(std::ostringstream &OS, const TensorType &Type) {
-  OS << elementTypeName(Type.Element) << '[';
-  for (unsigned I = 0; I < Type.Dims.rank(); ++I)
-    OS << (I ? "x" : "") << Type.Dims.dim(I);
-  OS << ']';
-}
-
-void appendRegistry(std::ostringstream &OS, const TaskRegistry &Registry) {
-  // Inner bodies are opaque std::functions, so their content cannot be
-  // fingerprinted; the registry's never-recycled uid stands in for it
-  // (an address would suffer ABA when the allocator reuses storage for a
-  // registry with identical structure but different bodies). Structure
-  // (names, signatures, leaf bindings) is still serialized so the key
-  // stays readable.
-  OS << "registry#" << Registry.uid() << '{';
-  for (const auto &[Name, Variant] : Registry.variants()) {
-    OS << Variant.Task << '/' << Name << ':'
-       << (Variant.Kind == VariantKind::Leaf ? 'L' : 'I') << '(';
-    for (const TaskParam &Param : Variant.Params)
-      OS << Param.Name << ',' << Param.Rank << ','
-         << elementTypeName(Param.Element) << ','
-         << privilegeName(Param.Priv) << ';';
-    OS << ')';
-    if (Variant.Kind == VariantKind::Leaf)
-      OS << Variant.Leaf.Function << '#'
-         << execUnitName(Variant.Leaf.Unit);
-    OS << ' ';
-  }
-  OS << '}';
-}
-
-void appendMachine(std::ostringstream &OS, const MachineModel &Machine) {
-  // Fully content-keyed (unlike the registry there are no opaque parts),
-  // so stack-allocated machine variants from autotuning sweeps can never
-  // alias through a recycled address.
-  OS << "machine{" << Machine.name() << ';';
-  for (const ProcessorLevel &Level : Machine.levels())
-    OS << static_cast<int>(Level.Kind) << ':' << Level.FanOut << ':'
-       << Level.ThreadsPerInstance << ',';
-  OS << '|';
-  for (const MemoryLevel &Mem : Machine.memories())
-    OS << static_cast<int>(Mem.Kind) << ':' << static_cast<int>(Mem.Scope)
-       << ':' << Mem.CapacityBytes << ',';
-  OS << '}';
-}
-
-} // namespace
-
-std::string CompilerSession::cacheKey(const CompileInput &Input) {
-  std::ostringstream OS;
-  appendRegistry(OS, *Input.Registry);
-  // The mapping serializes itself: specs are content-keyed values (see
-  // MappingSpec::fingerprint), which is what lets the autotuner's cost
-  // cache and this kernel cache agree on candidate identity.
-  OS << '|' << Input.Mapping->fingerprint() << '|';
-  appendMachine(OS, *Input.Machine);
-  OS << "|args{";
+KernelKey CompilerSession::cacheKey(const CompileInput &Input) {
+  ContentHasher H;
+  H.digest(Input.Registry->digest())
+      .digest(Input.Mapping->digest())
+      .digest(Input.Machine->digest())
+      .word(Input.EntryArgTypes.size());
   for (const TensorType &Type : Input.EntryArgTypes) {
-    appendTensorType(OS, Type);
-    OS << ',';
+    H.word(static_cast<uint64_t>(Type.Element)).word(Type.Dims.rank());
+    for (int64_t Dim : Type.Dims.dims())
+      H.word(static_cast<uint64_t>(Dim));
   }
-  OS << '}';
-  return OS.str();
+  return H.finish();
 }
 
 //===----------------------------------------------------------------------===//
@@ -281,7 +227,7 @@ CompilerSession::compile(const CompileInput &Input, const std::string &Name,
 }
 
 ErrorOr<std::shared_ptr<const CompiledKernel>>
-CompilerSession::compileKeyed(std::string Key, const CompileInput &Input,
+CompilerSession::compileKeyed(const KernelKey &Key, const CompileInput &Input,
                               const std::string &Name, bool &WasHit,
                               const Cancellation &Cancel) {
   {
@@ -350,7 +296,7 @@ CompilerSession::compileKeyed(std::string Key, const CompileInput &Input,
       std::move(*Module), std::move(Alloc), Name, std::move(PassStats));
 
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto [It, Inserted] = Cache.emplace(std::move(Key), std::move(Kernel));
+  auto [It, Inserted] = Cache.emplace(Key, std::move(Kernel));
   return It->second;
 }
 
@@ -377,9 +323,8 @@ CompilerSession::compileAll(const std::vector<Request> &Requests,
     // throws): an empty slot or an exception escaping into the pool's
     // std::thread would take the whole process down.
     try {
-      Slots[I].emplace(compileKeyed(
-          R.Key.empty() ? cacheKey(R.Input) : R.Key, R.Input, R.Name,
-          WasHit, Cancel));
+      Slots[I].emplace(
+          compileKeyed(cacheKey(R.Input), R.Input, R.Name, WasHit, Cancel));
     } catch (...) {
       Slots[I].emplace(Diagnostic(
           Diagnostic::Code::Internal,
@@ -418,7 +363,7 @@ CacheStats CompilerSession::cacheStats() const {
 }
 
 bool CompilerSession::isCached(const CompileInput &Input) const {
-  std::string Key = cacheKey(Input);
+  KernelKey Key = cacheKey(Input);
   std::lock_guard<std::mutex> Lock(Mutex);
   return Cache.count(Key) != 0;
 }

@@ -8,10 +8,14 @@
 /// The serving-layer entry point: a thread-safe CompilerSession owning a
 /// keyed cache of compiled kernels. A kernel is identified by what actually
 /// determines its lowering — the task registry, the mapping, the machine
-/// model, and the entrypoint argument types — so a repeated compile of the
-/// same CompileInput is a key construction plus cache lookup (microseconds)
-/// rather than a pipeline run (milliseconds), and `compileAll` lowers
-/// independent kernels concurrently on a small worker pool.
+/// model, and the entrypoint argument types. The key is a 128-bit content
+/// digest: the registry, mapping, and machine each compute their own digest
+/// once, when they are built, and the key mixes those three with the
+/// argument types. A repeated compile of the same CompileInput is therefore
+/// a few dozen words of hashing plus one hash-table lookup (well under a
+/// microsecond) rather than a pipeline run (hundreds of microseconds), and
+/// `compileAll` lowers independent kernels concurrently on a small worker
+/// pool.
 ///
 /// Typical use:
 ///
@@ -37,19 +41,24 @@
 
 #include "runtime/Runtime.h"
 #include "support/Cancel.h"
+#include "support/Hash.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace cypress {
+
+/// The identity of a compiled kernel in a CompilerSession cache (see
+/// CompilerSession::cacheKey).
+using KernelKey = Digest128;
 
 /// Tuning knobs for a CompilerSession.
 struct SessionConfig {
@@ -115,14 +124,11 @@ public:
   CompilerSession(const CompilerSession &) = delete;
   CompilerSession &operator=(const CompilerSession &) = delete;
 
-  /// One compileAll work item. Key may carry a precomputed cacheKey(Input)
-  /// so callers that already serialized the input (the autotuner's cost
-  /// cache) don't pay for it twice; leave it empty to have compileAll
-  /// compute it.
+  /// One compileAll work item; compileAll derives each request's key.
   struct Request {
     CompileInput Input;
     std::string Name;
-    std::string Key;
+    std::string Key; ///< Unread; kept for e2ebench's 3-field initializers.
   };
 
   /// Compiles \p Input, or returns the cached kernel compiled for an
@@ -181,11 +187,17 @@ public:
   /// False once shutdown() has begun; new requests are being shed.
   bool acceptingRequests() const { return Accepting.load(); }
 
-  /// The cache key for \p Input: the registry's structural fingerprint and
-  /// identity (inner task bodies are opaque callables, so object identity
-  /// stands in for body content), the full mapping, the machine, and the
-  /// entry argument types. Exposed for tests and cache introspection.
-  static std::string cacheKey(const CompileInput &Input);
+  /// The cache key for \p Input: a 128-bit digest that mixes the
+  /// registry's digest (its never-recycled uid, standing in for the opaque
+  /// inner-body callables, plus its structure), the mapping's digest (its
+  /// full content), the machine's digest (its full content), and the entry
+  /// argument types. Each component memoizes its digest when it is built,
+  /// so this is a few dozen words of arithmetic with no allocation. Every
+  /// string and sequence is length-framed, so distinct contents feed
+  /// distinct word streams, and their digests then collide only by chance:
+  /// about n^2 / 2^129 over n distinct kernels, negligible at any cache
+  /// size this process could hold. Exposed for tests and introspection.
+  static KernelKey cacheKey(const CompileInput &Input);
 
   /// SimWorkerPool: the worker count compileAll batches resolve to (the
   /// configured Workers, or the hardware-derived default).
@@ -214,7 +226,7 @@ private:
   /// injected worker-throw fault) becomes a per-request Code::Internal
   /// diagnostic and the pool keeps serving.
   ErrorOr<std::shared_ptr<const CompiledKernel>>
-  compileKeyed(std::string Key, const CompileInput &Input,
+  compileKeyed(const KernelKey &Key, const CompileInput &Input,
                const std::string &Name, bool &WasHit,
                const Cancellation &Cancel);
 
@@ -251,7 +263,9 @@ private:
 
   SessionConfig Config;
   mutable std::mutex Mutex;
-  std::map<std::string, std::shared_ptr<const CompiledKernel>> Cache;
+  std::unordered_map<KernelKey, std::shared_ptr<const CompiledKernel>,
+                     Digest128Hash>
+      Cache;
   SessionStats Stats;
 
   // Admission control and shutdown (see shutdown()). InFlight counts

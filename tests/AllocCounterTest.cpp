@@ -7,15 +7,16 @@
 /// \file
 /// Tests for the opt-in counting-allocator hook (support/AllocCounter.h)
 /// and the measurements built on it: per-pass HeapAllocs in PipelineStats,
-/// and the simulator's pooled-scratch steady state. These pin the
-/// "allocation-free steady state" claim as a measured bound instead of a
-/// comment. Every test skips when the hook is compiled out (sanitizer
+/// the simulator's pooled-scratch steady state, and the session's
+/// cache-hit path. These pin the "allocation-free steady state" claim as
+/// a measured bound instead of a comment. Every test skips when the hook is compiled out (sanitizer
 /// builds own the allocator there).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestKernels.h"
 #include "compiler/PassManager.h"
+#include "runtime/Session.h"
 #include "support/AllocCounter.h"
 
 #include <gtest/gtest.h>
@@ -144,6 +145,34 @@ TEST(AllocCounter, SimulatorSteadyStateAllocationBound) {
     }
     FirstOnThread = false;
   }
+}
+
+/// The session hit path (Session.h): the key mixes digests the registry,
+/// mapping, and machine memoized when they were built, and a hit copies
+/// the cached kernel pointer out of the map, so serving a repeat request
+/// allocates nothing.
+TEST(AllocCounter, SessionCacheHitIsAllocationFree) {
+  if (!allocCounterActive())
+    GTEST_SKIP() << "alloc counter compiled out (sanitizer build)";
+
+  GemmConfig Config;
+  Config.M = Config.N = Config.K = 512;
+  TaskRegistry Registry;
+  registerGemmTasks(Registry);
+  MappingSpec Mapping = gemmMapping(Config);
+  CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
+                     gemmArgTypes(Config)};
+  const std::string Name = "gemm";
+  CompilerSession Session;
+  ASSERT_TRUE(bool(Session.compile(Input, Name)));
+
+  EXPECT_EQ(allocsDuring([&] { (void)CompilerSession::cacheKey(Input); }),
+            0u);
+  EXPECT_EQ(allocsDuring([&] {
+              ASSERT_TRUE(bool(Session.compile(Input, Name)));
+            }),
+            0u);
+  EXPECT_EQ(Session.stats().Hits, 1u);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "autotune/KernelSpaces.h"
 #include "kernels/Kernels.h"
 #include "runtime/Runtime.h"
 #include "runtime/Session.h"
@@ -25,6 +26,8 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace cypress;
 
@@ -286,6 +289,140 @@ TEST(Session, DifferentInputsMissTheCache) {
   EXPECT_EQ(Session.stats().Misses, 2u);
   EXPECT_NE(CompilerSession::cacheKey(Small.input()),
             CompilerSession::cacheKey(Large.input()));
+
+  // Registering a variant on a registry that already served a compile
+  // changes its key, so the next compile misses — for leaves and inners.
+  KernelKey Before = CompilerSession::cacheKey(Small.input());
+  Small.Registry.addLeaf("extra", "extra_leaf",
+                         {{"X", 2, ElementType::F32, Privilege::Read}},
+                         {"user_double", ExecUnit::SIMT, nullptr});
+  KernelKey AfterLeaf = CompilerSession::cacheKey(Small.input());
+  EXPECT_NE(AfterLeaf, Before);
+  Small.Registry.addInner("extra", "extra_inner",
+                          {{"X", 2, ElementType::F32, Privilege::Read}},
+                          [](InnerContext &, std::vector<TensorHandle>) {});
+  EXPECT_NE(CompilerSession::cacheKey(Small.input()), AfterLeaf);
+  ASSERT_TRUE(Session.compile(Small.input(), "gemm"));
+  EXPECT_EQ(Session.stats().Hits, 0u);
+  EXPECT_EQ(Session.stats().Misses, 3u);
+
+  // A copy is a distinct registry: inner bodies are opaque, so equal
+  // structure does not prove equal behavior.
+  TaskRegistry Copy = Small.Registry;
+  CompileInput OverCopy = Small.input();
+  OverCopy.Registry = &Copy;
+  EXPECT_NE(CompilerSession::cacheKey(OverCopy),
+            CompilerSession::cacheKey(Small.input()));
+
+  // A move hands the key over; the moved-from registry, refilled (with
+  // different or even identical structure), never aliases the target.
+  KernelKey Original = CompilerSession::cacheKey(Large.input());
+  TaskRegistry Moved = std::move(Large.Registry);
+  CompileInput OverMoved = Large.input();
+  OverMoved.Registry = &Moved;
+  EXPECT_EQ(CompilerSession::cacheKey(OverMoved), Original);
+  registerAttentionTasks(Large.Registry);
+  EXPECT_NE(CompilerSession::cacheKey(Large.input()), Original);
+  TaskRegistry Refilled = std::move(Moved);
+  registerGemmTasks(Moved);
+  OverMoved.Registry = &Moved;
+  CompileInput OverRefilled = Large.input();
+  OverRefilled.Registry = &Refilled;
+  EXPECT_NE(CompilerSession::cacheKey(OverMoved),
+            CompilerSession::cacheKey(OverRefilled));
+
+  // Machines are keyed by content: one memory's capacity is enough.
+  const MachineModel &H100 = MachineModel::h100();
+  std::vector<MemoryLevel> Memories = H100.memories();
+  for (MemoryLevel &Mem : Memories)
+    if (Mem.Kind == Memory::Shared)
+      Mem.CapacityBytes -= 1024;
+  MachineModel Smaller(H100.name(), H100.levels(), Memories);
+  CompileInput OnSmaller = Small.input();
+  OnSmaller.Machine = &Smaller;
+  EXPECT_NE(CompilerSession::cacheKey(OnSmaller),
+            CompilerSession::cacheKey(Small.input()));
+
+  // Mappings are values: copies and moves keep their key.
+  KernelKey MappingKey = CompilerSession::cacheKey(Small.input());
+  MappingSpec CopiedMapping = Small.Mapping;
+  CompileInput OverCopiedMapping = Small.input();
+  OverCopiedMapping.Mapping = &CopiedMapping;
+  EXPECT_EQ(CompilerSession::cacheKey(OverCopiedMapping), MappingKey);
+  MappingSpec MovedMapping = std::move(CopiedMapping);
+  OverCopiedMapping.Mapping = &MovedMapping;
+  EXPECT_EQ(CompilerSession::cacheKey(OverCopiedMapping), MappingKey);
+}
+
+TEST(Session, SameContentBuiltTwiceSharesAKeyAcrossSessions) {
+  SessionGemm Gemm(512);
+  CompilerSession First, Second;
+  ASSERT_TRUE(First.compile(Gemm.input(), "gemm"));
+
+  // Rebuild everything but the registry (whose identity is its uid) from
+  // scratch, machine included.
+  GemmConfig Config;
+  Config.M = Config.N = Config.K = 512;
+  MappingSpec Mapping = gemmMapping(Config);
+  const MachineModel &H100 = MachineModel::h100();
+  MachineModel Machine(H100.name(), H100.levels(), H100.memories());
+  CompileInput Rebuilt{&Gemm.Registry, &Mapping, &Machine,
+                       gemmArgTypes(Config)};
+  EXPECT_EQ(CompilerSession::cacheKey(Rebuilt),
+            CompilerSession::cacheKey(Gemm.input()));
+  EXPECT_TRUE(First.isCached(Rebuilt));
+  ASSERT_TRUE(Second.compile(Rebuilt, "gemm"));
+  EXPECT_TRUE(Second.isCached(Gemm.input()));
+}
+
+TEST(Session, CacheKeyIsInjectiveOverTheTunerSpaces) {
+  // Every feasible point of the guided GEMM and FA2/FA3 spaces at one
+  // paper size: two keys are equal iff the (mapping fingerprint, argument
+  // types) identities are. No collisions, and points that build identical
+  // mappings share a key.
+  const MachineModel &H100 = MachineModel::h100();
+  std::vector<KernelSearchSpec> Specs = {
+      gemmSearchSpec(GemmConfig(), gemmGuidedAxes()),
+      attentionSearchSpec(fa2Config(4096), attentionGuidedAxes()),
+      attentionSearchSpec(fa3Config(4096), attentionGuidedAxes())};
+  std::unordered_set<KernelKey, Digest128Hash> AllKeys;
+  size_t Identities = 0;
+  for (const KernelSearchSpec &Spec : Specs) {
+    TaskRegistry Registry;
+    Spec.Register(Registry);
+    std::unordered_map<std::string, KernelKey> KeyOf;
+    std::unordered_map<KernelKey, const std::string *, Digest128Hash>
+        IdentityOf;
+    size_t Feasible = 0;
+    MappingSpace(Spec, H100).forEach(
+        [&](size_t, const MappingSpace::Candidate &Cand) {
+          if (!Cand.feasible())
+            return true;
+          ++Feasible;
+          MappingSpec Mapping = Spec.BuildMapping(Cand.Point);
+          CompileInput Input{&Registry, &Mapping, &H100,
+                             Spec.BuildArgs(Cand.Point)};
+          std::string Identity = Mapping.fingerprint();
+          for (const TensorType &Type : Input.EntryArgTypes)
+            Identity += "|" + Type.toString();
+          KernelKey Key = CompilerSession::cacheKey(Input);
+          auto ByIdentity = KeyOf.emplace(Identity, Key).first;
+          auto ByKey = IdentityOf.emplace(Key, &ByIdentity->first).first;
+          if (ByIdentity->second != Key || *ByKey->second != Identity) {
+            ADD_FAILURE() << "key and identity disagree at "
+                          << Cand.Point.str() << "\n  " << Identity
+                          << "\n  " << *ByKey->second;
+            return false;
+          }
+          return true;
+        });
+    EXPECT_GT(Feasible, 1000u) << Spec.KernelName;
+    Identities += KeyOf.size();
+    for (const auto &Entry : IdentityOf)
+      AllKeys.insert(Entry.first);
+  }
+  // The three spaces use three registries, so no key is shared across them.
+  EXPECT_EQ(AllKeys.size(), Identities);
 }
 
 TEST(Session, CacheHitIsAtLeastTenTimesFasterThanColdCompile) {
