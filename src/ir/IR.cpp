@@ -126,7 +126,7 @@ int64_t IRModule::sliceNumElements(const TensorSlice &Slice) const {
   // (edge tiles); any symbolic color falls back to the uniform interior
   // tile at color 0.
   size_t Rank = Slice.Color.size();
-  int64_t Stack[8];
+  int64_t Stack[8] = {};
   std::vector<int64_t> Heap;
   int64_t *Color = Rank <= 8 ? Stack : (Heap.resize(Rank), Heap.data());
   bool AllConstant = true;

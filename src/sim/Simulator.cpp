@@ -12,16 +12,21 @@
 /// copies, matrix ops, and SIMT math are rewarded exactly as on Hopper.
 ///
 /// The timing hot path is built on dense, pre-sized tables rather than
-/// ordered maps: one expansion pass enumerates every operation instance
-/// into per-agent streams, interning iteration coordinates, loop-instance
-/// paths, precondition descriptors (with warpgroup indices already
-/// evaluated), shared-memory byte ranges, and per-op costs into flat
-/// arenas. Event completion times live in a single flat array indexed by a
-/// strided linear coordinate key computed from the loop extents observed
-/// during expansion, so the scheduler's readiness checks are array loads.
-/// All arenas are pooled in a thread-local scratch that survives across
-/// simulation runs, which makes repeated `runTiming` calls (the autotuner's
-/// candidate evaluation loop) allocation-free in steady state.
+/// ordered maps. After a static pre-walk, each op's instance template is
+/// resolved once per run (cost, agent, in-grid preconditions, shared-memory
+/// buffer placements); one expansion pass then enumerates every operation
+/// instance into per-agent streams, evaluating only the template's
+/// environment-dependent expressions (warpgroup and buffer indices) and
+/// interning iteration coordinates, loop-instance paths, precondition
+/// descriptors, and shared-memory byte ranges into flat arenas. Event
+/// completion times live in a single flat array indexed by a strided
+/// linear coordinate key computed from the loop extents observed during
+/// expansion, so the scheduler's readiness checks are array loads, and a
+/// head blocked on an empty completion slot is re-checked only once that
+/// slot fills. All arenas are pooled in a thread-local scratch that
+/// survives across simulation runs, which makes repeated `runTiming` calls
+/// (the autotuner's candidate evaluation loop) allocation-free in steady
+/// state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,10 +77,30 @@ struct Cost {
   enum class UnitKind : uint8_t { None, Tma, TensorCore } Unit = UnitKind::None;
 };
 
-/// One precondition of one instance, with everything that is static for
-/// that instance resolved at expansion time (the warpgroup index expression
-/// evaluates under the instance's environment, so it never has to be
-/// re-evaluated in the scheduler's inner loop).
+/// One in-grid precondition of an op, resolved once per run by
+/// buildTemplates. Only the warpgroup index depends on the instance; its
+/// expression is kept for expansion to evaluate.
+struct PrecondTmpl {
+  EventId Event = InvalidEventId;
+  int64_t IterLag = 0;
+  const ScalarExpr *WgIndex = nullptr; ///< Null when not indexed.
+  bool Broadcast = false;
+};
+
+/// One shared-memory access of an op, resolved once per run by
+/// buildTemplates: the tensor's allocation, with the buffer index
+/// expression kept for expansion to evaluate.
+struct SmemTmpl {
+  TensorId Tensor = InvalidTensorId;
+  int64_t Offset = 0;   ///< Allocation offset of buffer 0.
+  int64_t BufBytes = 0; ///< Bytes of one pipeline buffer.
+  const ScalarExpr *BufferIndex = nullptr;
+  bool Write = false;
+};
+
+/// One precondition of one instance, with the warpgroup index already
+/// evaluated under the instance's environment, so the scheduler's inner
+/// loop never evaluates an expression.
 struct PrecondDesc {
   EventId Event = InvalidEventId;
   int64_t IterLag = 0;
@@ -107,9 +132,11 @@ struct SmemAccess {
   size_t IterHash = 0;
 };
 
-/// Per-op record in the dense op table (indexed by a dense id assigned at
-/// the op's first visit during expansion).
+/// Per-op record in the dense op table (indexed by a dense id assigned by
+/// the static pre-walk). For Copy/Call ops it also holds the op's
+/// instance template (see buildTemplates).
 struct OpRec {
+  const Operation *Op = nullptr;
   Cost C;
   uint32_t Depth = 0;    ///< Number of enclosing sequential loops.
   uint32_t ChainOff = 0; ///< Enclosing loop ops (dense ids), in ChainArena.
@@ -118,7 +145,13 @@ struct OpRec {
   /// event produced under this loop.
   int64_t MinCoord = std::numeric_limits<int64_t>::max();
   int64_t MaxCoord = std::numeric_limits<int64_t>::min();
-  bool HasCost = false;
+  /// Template: [Off, Off + Count) ranges of the PrecondTmpls/SmemTmpls
+  /// arenas, the warpgroup replica count (-1 when the op has no warpgroup
+  /// dim), and whether the DMA agent issues the op.
+  uint32_t PrecondTmplOff = 0, PrecondTmplCount = 0;
+  uint32_t SmemTmplOff = 0, SmemTmplCount = 0;
+  int64_t WgExtent = -1;
+  bool Dma = false;
   /// Dense slots are assigned by a static pre-walk, so an op can hold a
   /// slot without ever being reached (a zero-trip enclosing loop). Events
   /// produced by unreached ops must size their slabs as if the producer
@@ -180,13 +213,10 @@ struct TopUnit {
 
 /// Per-op facts one shard accumulates privately; the merge folds them into
 /// the global dense op table. Everything here is order-independent: min
-/// and max commute, the cost is a pure function of the op, and Visited is
-/// a disjunction.
+/// and max commute, and Visited is a disjunction.
 struct OpAcc {
-  Cost C;
   int64_t MinCoord = std::numeric_limits<int64_t>::max();
   int64_t MaxCoord = std::numeric_limits<int64_t>::min();
-  bool HasCost = false;
   bool Visited = false;
 };
 
@@ -210,6 +240,12 @@ struct ShardBuf {
   // Expansion cursor state (kept here so its capacity pools too).
   std::vector<int64_t> CoordStack;
   std::vector<uint32_t> LoopPath;
+  /// The cursor's coordinates and loop path interned into Coords and
+  /// LoopPaths, shared by every instance expanded under it; StackDirty
+  /// marks a cursor change since the last interning.
+  uint32_t StackCoordOff = 0, StackLoopOff = 0;
+  size_t StackHash = 0;
+  bool StackDirty = true;
   /// Loop-variable bindings are overwritten in place and deliberately NOT
   /// erased on scope exit or between runs: each erase/re-emplace pair is a
   /// map-node allocation, which would put an alloc on every top-level loop
@@ -240,6 +276,9 @@ struct ShardBuf {
   }
 };
 
+/// Times index meaning "no empty completion slot" (see HeadBlockedAt).
+constexpr uint64_t NoSlot = ~uint64_t(0);
+
 /// All per-run state of the timing simulator, pooled across runs: clear()
 /// resets sizes but keeps capacity, so steady-state simulation performs no
 /// allocation. One scratch exists per thread (runTiming is const and may be
@@ -252,6 +291,8 @@ struct TimerScratch {
   std::vector<PrecondDesc> Preconds;
   std::vector<SmemPre> SmemPres;
   std::vector<OpRec> Ops;
+  std::vector<PrecondTmpl> PrecondTmpls; ///< Per-op template arenas.
+  std::vector<SmemTmpl> SmemTmpls;
   std::vector<uint32_t> OpDense; ///< OpId -> dense op index (~0u absent).
   std::vector<EventRec> Events;  ///< Indexed by EventId.
   std::vector<std::pair<EventId, OpId>> KnownEvents;
@@ -264,7 +305,13 @@ struct TimerScratch {
   // Scheduler / race-detector scratch.
   std::vector<size_t> Cursor;
   std::vector<double> Ready;
-  std::vector<uint32_t> RaceOrder, RaceActive;
+  /// Per agent: the head's final precondition time once a check found it
+  /// ready (NaN until then), and the Times index of the empty completion
+  /// slot that failed its last check (NoSlot when the failure was not an
+  /// empty slot, or no check has failed).
+  std::vector<double> HeadWait;
+  std::vector<uint64_t> HeadBlockedAt;
+  std::vector<uint32_t> RaceWrites, RaceReads;
 
   /// Clears everything except the per-agent streams, which are sized once
   /// the static pre-walk has counted the warpgroups (see buildStreams).
@@ -275,6 +322,8 @@ struct TimerScratch {
     Preconds.clear();
     SmemPres.clear();
     Ops.clear();
+    PrecondTmpls.clear();
+    SmemTmpls.clear();
     OpDense.clear();
     KnownEvents.clear();
     // Pooling keeps steady-state runs allocation-free, but one outsized
@@ -358,6 +407,7 @@ private:
     // vacuously ready). Static ids are what let expansion shards run
     // without shared mutable state.
     indexOps(Grid.Body);
+    buildTemplates();
 
     // Agent 0 = DMA warp; agents 1..Wgs = compute warpgroups.
     NumAgents = 1 + static_cast<size_t>(Wgs);
@@ -415,11 +465,73 @@ private:
     S.OpDense[Op.Id] = Slot;
     S.Ops.emplace_back();
     OpRec &Rec = S.Ops.back();
+    Rec.Op = &Op;
     Rec.Depth = static_cast<uint32_t>(LoopOpStack.size());
     Rec.ChainOff = static_cast<uint32_t>(S.ChainArena.size());
     S.ChainArena.insert(S.ChainArena.end(), LoopOpStack.begin(),
                         LoopOpStack.end());
     return Slot;
+  }
+
+  /// Resolves every Copy/Call op's instance template once per run, after
+  /// the pre-walk has marked the in-grid events: its cost, its agent and
+  /// warpgroup replication, its in-grid preconditions (references to
+  /// other events are always ready, so they are dropped here rather than
+  /// skipped by every readiness check), and the allocation of every
+  /// shared-memory tensor it touches. Expansion then evaluates only the
+  /// warpgroup and buffer index expressions.
+  void buildTemplates() {
+    for (OpRec &Rec : S.Ops) {
+      const Operation &Op = *Rec.Op;
+      if (Op.Kind != OpKind::Copy && Op.Kind != OpKind::Call)
+        continue;
+      Rec.C = costOf(Op);
+      Rec.WgExtent = hasWarpgroupDim(Op) ? warpgroupExtent(Op) : -1;
+      Rec.Dma = Grid.WarpSpecialize && Op.DmaAgent;
+
+      Rec.PrecondTmplOff = static_cast<uint32_t>(S.PrecondTmpls.size());
+      for (const EventRef &Ref : Op.Preconds) {
+        if (Ref.Event >= S.Events.size() || !S.Events[Ref.Event].Known)
+          continue;
+        PrecondTmpl P;
+        P.Event = Ref.Event;
+        P.IterLag = Ref.IterLag;
+        const EventType &Type = Module.event(Ref.Event).Type;
+        for (size_t D = 0; D < Ref.Indices.size() && D < Type.Dims.size();
+             ++D) {
+          if (Ref.Indices[D].isBroadcast())
+            P.Broadcast = true; // Warp/thread broadcast: plus a barrier.
+          else if (Type.Dims[D].Proc == Processor::Warpgroup)
+            P.WgIndex = &Ref.Indices[D].Index;
+        }
+        S.PrecondTmpls.push_back(P);
+      }
+      Rec.PrecondTmplCount =
+          static_cast<uint32_t>(S.PrecondTmpls.size()) - Rec.PrecondTmplOff;
+
+      Rec.SmemTmplOff = static_cast<uint32_t>(S.SmemTmpls.size());
+      auto Record = [&](const TensorSlice &Slice, bool Write) {
+        const IRTensor &T = Module.tensor(Slice.Tensor);
+        if (T.Mem != Memory::Shared)
+          return;
+        const SharedAllocation::Entry *Entry = Alloc.find(Slice.Tensor);
+        if (!Entry)
+          return;
+        S.SmemTmpls.push_back(
+            {Slice.Tensor, Entry->Offset,
+             Entry->Bytes / std::max<int64_t>(T.PipelineDepth, 1),
+             &Slice.BufferIndex, Write});
+      };
+      if (Op.Kind == OpKind::Copy) {
+        Record(Op.CopySrc, false);
+        Record(Op.CopyDst, true);
+      } else {
+        for (size_t I = 0; I < Op.Args.size(); ++I)
+          Record(Op.Args[I], Op.ArgIsWritten[I]);
+      }
+      Rec.SmemTmplCount =
+          static_cast<uint32_t>(S.SmemTmpls.size()) - Rec.SmemTmplOff;
+    }
   }
 
   /// Flattens the grid body's top level into the unit work list: one unit
@@ -515,6 +627,7 @@ private:
       const TopUnit &Unit = S.Units[U];
       B.CoordStack.clear();
       B.LoopPath.clear();
+      B.StackDirty = true;
       if (Unit.TopLoop != ~0u) {
         auto [VarIt, Inserted] =
             Env.LoopVars.emplace(Unit.Op->LoopVar, Unit.Iter);
@@ -558,10 +671,12 @@ private:
         for (int64_t K = Lo; K < Hi; ++K) {
           VarIt->second = K;
           B.CoordStack.push_back(K);
+          B.StackDirty = true;
           expandShardBlock(B, Env, WgIt, Op->Body);
           B.CoordStack.pop_back();
         }
         B.LoopPath.pop_back();
+        B.StackDirty = true;
         break;
       }
       case OpKind::PFor:
@@ -581,43 +696,46 @@ private:
                      std::map<Processor, int64_t>::iterator WgIt,
                      const Operation &Op) {
     uint32_t OpIdx = S.OpDense[Op.Id];
-    bool Dma = Grid.WarpSpecialize && Op.DmaAgent;
-    if (hasWarpgroupDim(Op)) {
-      for (int64_t Wg = 0; Wg < warpgroupExtent(Op); ++Wg)
-        pushInstance(B, Env, WgIt, Op, OpIdx, Wg,
-                     Dma ? 0 : 1 + static_cast<size_t>(Wg));
+    const OpRec &T = S.Ops[OpIdx];
+    if (B.StackDirty) {
+      // Every instance under one cursor position shares one interned copy
+      // of its coordinates and loop path.
+      B.StackCoordOff = static_cast<uint32_t>(B.Coords.size());
+      B.Coords.insert(B.Coords.end(), B.CoordStack.begin(),
+                      B.CoordStack.end());
+      B.StackLoopOff = static_cast<uint32_t>(B.LoopPaths.size());
+      B.LoopPaths.insert(B.LoopPaths.end(), B.LoopPath.begin(),
+                         B.LoopPath.end());
+      B.StackHash = 0;
+      for (int64_t I : B.CoordStack)
+        B.StackHash = B.StackHash * 1000003u + static_cast<size_t>(I + 1);
+      B.StackDirty = false;
+    }
+    if (T.WgExtent >= 0) {
+      for (int64_t Wg = 0; Wg < T.WgExtent; ++Wg)
+        pushInstance(B, Env, WgIt, T, OpIdx, Wg,
+                     T.Dma ? 0 : 1 + static_cast<size_t>(Wg));
     } else {
-      pushInstance(B, Env, WgIt, Op, OpIdx, -1, Dma ? 0 : 1);
+      pushInstance(B, Env, WgIt, T, OpIdx, -1, T.Dma ? 0 : 1);
     }
   }
 
-  /// Materializes one executable instance into \p B: interns its
-  /// coordinates, loop path, precondition descriptors, and shared-memory
-  /// ranges, counts it against every enclosing loop instance, and appends
-  /// it to its agent's stream. Everything environment-dependent is
-  /// evaluated here, once.
+  /// Materializes one executable instance of template \p T into \p B:
+  /// evaluates its warpgroup and buffer indices under the instance's
+  /// environment, counts it against every enclosing loop instance, and
+  /// appends it to its agent's stream.
   void pushInstance(ShardBuf &B, ScalarEnv &Env,
                     std::map<Processor, int64_t>::iterator WgIt,
-                    const Operation &Op, uint32_t OpIdx, int64_t Wg,
+                    const OpRec &T, uint32_t OpIdx, int64_t Wg,
                     size_t Agent) {
-    OpAcc &Info = B.Ops[OpIdx];
-    Info.Visited = true;
-    if (!Info.HasCost) {
-      Info.C = costOf(Op);
-      Info.HasCost = true;
-    }
-
+    B.Ops[OpIdx].Visited = true;
     InstRec R;
-    R.Op = &Op;
+    R.Op = T.Op;
     R.Wg = static_cast<int32_t>(Wg);
     R.OpIdx = OpIdx;
     R.Depth = static_cast<uint32_t>(B.CoordStack.size());
-    R.CoordOff = static_cast<uint32_t>(B.Coords.size());
-    B.Coords.insert(B.Coords.end(), B.CoordStack.begin(),
-                    B.CoordStack.end());
-    R.LoopOff = static_cast<uint32_t>(B.LoopPaths.size());
-    B.LoopPaths.insert(B.LoopPaths.end(), B.LoopPath.begin(),
-                       B.LoopPath.end());
+    R.CoordOff = B.StackCoordOff;
+    R.LoopOff = B.StackLoopOff;
 
     // Count every instance against every enclosing loop so the loop's
     // completion event fires when all body instances have finished. The
@@ -633,57 +751,22 @@ private:
     WgIt->second = std::max<int64_t>(Wg, 0);
 
     R.PrecondOff = static_cast<uint32_t>(B.Preconds.size());
-    for (const EventRef &Ref : Op.Preconds) {
-      PrecondDesc P;
-      P.Event = Ref.Event;
-      P.IterLag = Ref.IterLag;
-      if (Ref.Event < S.Events.size() && S.Events[Ref.Event].Known) {
-        const EventType &Type = Module.event(Ref.Event).Type;
-        for (size_t D = 0; D < Ref.Indices.size() && D < Type.Dims.size();
-             ++D) {
-          if (Type.Dims[D].Proc == Processor::Warpgroup) {
-            if (Ref.Indices[D].isBroadcast())
-              P.Broadcast = true;
-            else
-              P.WantWg =
-                  static_cast<int32_t>(Ref.Indices[D].Index.evaluate(Env));
-          } else if (Ref.Indices[D].isBroadcast()) {
-            // Warp/thread broadcast: the collective instance plus a barrier.
-            P.Broadcast = true;
-          }
-        }
-      }
-      B.Preconds.push_back(P);
-    }
-    R.PrecondCount =
-        static_cast<uint32_t>(B.Preconds.size()) - R.PrecondOff;
-
-    size_t IterHash = 0;
-    for (int64_t I : B.CoordStack)
-      IterHash = IterHash * 1000003u + static_cast<size_t>(I + 1);
+    R.PrecondCount = T.PrecondTmplCount;
+    const PrecondTmpl *P = S.PrecondTmpls.data() + T.PrecondTmplOff;
+    for (uint32_t I = 0; I < T.PrecondTmplCount; ++I, ++P)
+      B.Preconds.push_back(
+          {P->Event, P->IterLag,
+           P->WgIndex ? static_cast<int32_t>(P->WgIndex->evaluate(Env)) : -1,
+           P->Broadcast});
 
     R.SmemOff = static_cast<uint32_t>(B.SmemPres.size());
-    auto Record = [&](const TensorSlice &Slice, bool Write) {
-      const IRTensor &T = Module.tensor(Slice.Tensor);
-      if (T.Mem != Memory::Shared)
-        return;
-      const SharedAllocation::Entry *Entry = Alloc.find(Slice.Tensor);
-      if (!Entry)
-        return;
-      int64_t BufBytes = Entry->Bytes / std::max<int64_t>(T.PipelineDepth, 1);
-      int64_t Buf = Slice.BufferIndex.evaluate(Env);
-      int64_t Lo = Entry->Offset + Buf * BufBytes;
-      B.SmemPres.push_back({Slice.Tensor, Op.Id, Lo, Lo + BufBytes, IterHash,
-                            static_cast<int32_t>(Wg), Write});
-    };
-    if (Op.Kind == OpKind::Copy) {
-      Record(Op.CopySrc, false);
-      Record(Op.CopyDst, true);
-    } else if (Op.Kind == OpKind::Call) {
-      for (size_t I = 0; I < Op.Args.size(); ++I)
-        Record(Op.Args[I], Op.ArgIsWritten[I]);
+    R.SmemCount = T.SmemTmplCount;
+    const SmemTmpl *M = S.SmemTmpls.data() + T.SmemTmplOff;
+    for (uint32_t I = 0; I < T.SmemTmplCount; ++I, ++M) {
+      int64_t Lo = M->Offset + M->BufferIndex->evaluate(Env) * M->BufBytes;
+      B.SmemPres.push_back({M->Tensor, T.Op->Id, Lo, Lo + M->BufBytes,
+                            B.StackHash, static_cast<int32_t>(Wg), M->Write});
     }
-    R.SmemCount = static_cast<uint32_t>(B.SmemPres.size()) - R.SmemOff;
 
     B.Insts.push_back(R);
     B.Streams[Agent].push_back(static_cast<uint32_t>(B.Insts.size() - 1));
@@ -711,13 +794,25 @@ private:
         R.Visited = true;
         R.MinCoord = std::min(R.MinCoord, Acc.MinCoord);
         R.MaxCoord = std::max(R.MaxCoord, Acc.MaxCoord);
-        if (Acc.HasCost && !R.HasCost) {
-          R.C = Acc.C;
-          R.HasCost = true;
-        }
       }
       for (uint32_t T = 0; T < NumTopLoops; ++T)
         S.Loops[T].Remaining += B.TopRemaining[T];
+      S.Loops.insert(S.Loops.end(), B.Loops.begin(), B.Loops.end());
+
+      if (SI == 0) {
+        // The global arenas are still empty, so shard 0's offsets and
+        // loop ids are final: adopt its buffers instead of copying them.
+        // (The swapped-out buffers keep their capacity in the shard.)
+        S.Insts.swap(B.Insts);
+        S.Coords.swap(B.Coords);
+        S.LoopPaths.swap(B.LoopPaths);
+        S.Preconds.swap(B.Preconds);
+        S.SmemPres.swap(B.SmemPres);
+        for (size_t A = 0; A < NumAgents; ++A)
+          S.Streams[A].swap(B.Streams[A]);
+        LoopShift = static_cast<uint32_t>(B.Loops.size());
+        continue;
+      }
 
       uint32_t InstBase = static_cast<uint32_t>(S.Insts.size());
       uint32_t CoordBase = static_cast<uint32_t>(S.Coords.size());
@@ -740,7 +835,6 @@ private:
       for (uint32_t Entry : B.LoopPaths)
         S.LoopPaths.push_back(Entry < NumTopLoops ? Entry
                                                   : Entry + LoopShift);
-      S.Loops.insert(S.Loops.end(), B.Loops.begin(), B.Loops.end());
       for (size_t A = 0; A < NumAgents; ++A)
         for (uint32_t Idx : B.Streams[A])
           S.Streams[A].push_back(Idx + InstBase);
@@ -833,23 +927,24 @@ private:
     return true;
   }
 
-  /// Completion cycle of one (event, warpgroup, iteration-prefix) key;
-  /// false when that instance has not completed (or can never exist).
-  bool lookupTime(const EventRec &Rec, int64_t Wg, const int64_t *Coords,
-                  uint32_t KeyLen, int64_t Last, double &Out) const {
-    // Producers always register keys at their own depth; a shorter prefix
-    // (consumer shallower than producer) can never match.
-    if (KeyLen != Rec.Depth)
-      return false;
-    uint64_t Idx;
-    if (!coordIndex(Rec, Coords, KeyLen, Last, Idx))
-      return false;
+  /// Completion cycle of the warpgroup \p Wg instance (-1: unreplicated)
+  /// of the key at coordinate index \p Idx (see coordIndex) of \p Rec;
+  /// false when that instance has not completed, with \p Pending set to
+  /// its still-empty Times slot, or when the event has no such warpgroup
+  /// slot (Pending = NoSlot).
+  bool lookupTime(const EventRec &Rec, int64_t Wg, uint64_t Idx, double &Out,
+                  uint64_t &Pending) const {
     uint64_t Slot = Wg < 0 ? 0 : static_cast<uint64_t>(Wg) + 1;
-    if (Slot >= Rec.WgSlots)
+    if (Slot >= Rec.WgSlots) {
+      Pending = NoSlot;
       return false;
-    double T = S.Times[Rec.TimesOff + Slot * Rec.CoordCount + Idx];
-    if (std::isnan(T))
+    }
+    uint64_t At = Rec.TimesOff + Slot * Rec.CoordCount + Idx;
+    double T = S.Times[At];
+    if (std::isnan(T)) {
+      Pending = At;
       return false;
+    }
     Out = T;
     return true;
   }
@@ -897,14 +992,29 @@ private:
   //===--- Scheduling --------------------------------------------------------===//
 
   void schedule() {
+    const double NaN = std::numeric_limits<double>::quiet_NaN();
     S.Cursor.assign(NumAgents, 0);
     S.Ready.assign(NumAgents, 0.0);
+    S.HeadWait.assign(NumAgents, NaN);
+    S.HeadBlockedAt.assign(NumAgents, NoSlot);
 
     // Time-ordered scheduling: of all agents whose next instruction has
     // satisfied preconditions, execute the one that can start earliest.
     // (Greedy per-agent draining would let one warpgroup book the shared
     // Tensor Core arbitrarily far ahead of its peers, which the hardware
     // warp scheduler does not do.)
+    //
+    // Each head is checked incrementally. Completion slots are written
+    // once per run and never cleared, and precondsReady stops at the
+    // first unmet precondition, so a ready head's wait time is final
+    // (HeadWait), and a head that failed on an empty slot fails the same
+    // way until that slot fills (HeadBlockedAt): skipping it costs one
+    // load. A failure without an empty slot is re-checked every step.
+    //
+    // Start times never decrease from one step to the next: the chosen
+    // head starts no earlier than any other ready head, and a head this
+    // step makes ready waits on a completion it wrote, which is no earlier
+    // than its start. The race sweep relies on that order (anyRace).
     while (true) {
       // Relaxation checkpoint: one strided poll per scheduling step, so a
       // deadline cuts even a pathological event graph off instead of
@@ -920,10 +1030,17 @@ private:
         if (S.Cursor[Agent] >= S.Streams[Agent].size())
           continue;
         AnyPending = true;
-        const InstRec &Inst = S.Insts[S.Streams[Agent][S.Cursor[Agent]]];
-        double WaitTime = 0.0;
-        if (!precondsReady(Inst, WaitTime))
-          continue;
+        double &WaitTime = S.HeadWait[Agent];
+        if (std::isnan(WaitTime)) {
+          uint64_t &Blocked = S.HeadBlockedAt[Agent];
+          if (Blocked != NoSlot && std::isnan(S.Times[Blocked]))
+            continue;
+          double Wait;
+          if (!precondsReady(S.Insts[S.Streams[Agent][S.Cursor[Agent]]],
+                             Wait, Blocked))
+            continue;
+          WaitTime = Wait;
+        }
         double Start = std::max(S.Ready[Agent], WaitTime);
         if (BestAgent == ~size_t(0) || Start < BestStart) {
           BestAgent = Agent;
@@ -946,6 +1063,8 @@ private:
       executeInstance(S.Insts[S.Streams[BestAgent][S.Cursor[BestAgent]]],
                       S.Ready[BestAgent], BestWait);
       ++S.Cursor[BestAgent];
+      S.HeadWait[BestAgent] = NaN;
+      S.HeadBlockedAt[BestAgent] = NoSlot;
     }
     for (size_t Agent = 0; Agent < NumAgents; ++Agent)
       Finish = std::max(Finish, S.Ready[Agent]);
@@ -953,19 +1072,18 @@ private:
     Finish = std::max(Finish, LastCompletion);
   }
 
-  /// Checks all preconditions of an instance; on success \p WaitTime is the
-  /// cycle when the last of them completes.
-  bool precondsReady(const InstRec &Inst, double &WaitTime) const {
+  /// Checks the preconditions of an instance in order, stopping at the
+  /// first unmet one; on success \p WaitTime is the cycle when the last of
+  /// them completes, on failure \p BlockedAt is the empty Times slot it
+  /// waits on (NoSlot when no slot holds its key).
+  bool precondsReady(const InstRec &Inst, double &WaitTime,
+                     uint64_t &BlockedAt) const {
     WaitTime = 0.0;
     const PrecondDesc *P = S.Preconds.data() + Inst.PrecondOff;
     const int64_t *Coords = S.Coords.data() + Inst.CoordOff;
     for (uint32_t I = 0; I < Inst.PrecondCount; ++I, ++P) {
-      if (P->Event >= S.Events.size())
-        continue; // Reference to an event outside the module: ready.
+      // Expansion keeps only in-grid events (see buildTemplates).
       const EventRec &Rec = S.Events[P->Event];
-      if (!Rec.Known)
-        continue; // Events from outside the grid body: host-level, ready.
-
       uint32_t KeyLen = std::min<uint32_t>(Inst.Depth, Rec.Depth);
       int64_t Last = KeyLen ? Coords[KeyLen - 1] : 0;
       if (P->IterLag > 0) {
@@ -976,24 +1094,33 @@ private:
           continue; // First PIPE iterations: buffer not yet reused.
       }
 
+      // Producers always register keys at their own depth; a shorter
+      // prefix (consumer shallower than producer) can never match, nor can
+      // a key outside the producer's coordinate box.
+      uint64_t Idx;
+      if (KeyLen != Rec.Depth ||
+          !coordIndex(Rec, Coords, KeyLen, Last, Idx)) {
+        BlockedAt = NoSlot;
+        return false;
+      }
       double Cycle = 0.0;
       if (Rec.WgReplicated) {
         if (P->WantWg >= 0 && !P->Broadcast) {
-          if (!lookupTime(Rec, P->WantWg, Coords, KeyLen, Last, Cycle))
+          if (!lookupTime(Rec, P->WantWg, Idx, Cycle, BlockedAt))
             return false;
         } else {
           // All warpgroup instances must exist.
           int64_t Wgs = static_cast<int64_t>(NumAgents) - 1;
           for (int64_t Wg = 0; Wg < Wgs; ++Wg) {
             double T;
-            if (!lookupTime(Rec, Wg, Coords, KeyLen, Last, T))
+            if (!lookupTime(Rec, Wg, Idx, T, BlockedAt))
               return false;
             Cycle = std::max(Cycle, T);
           }
           Cycle += Config.BarrierLatency;
         }
       } else {
-        if (!lookupTime(Rec, -1, Coords, KeyLen, Last, Cycle))
+        if (!lookupTime(Rec, -1, Idx, Cycle, BlockedAt))
           return false;
         if (P->Broadcast)
           Cycle += Config.BarrierLatency;
@@ -1101,35 +1228,43 @@ private:
     return AddrOverlap && TimeOverlap;
   }
 
-  /// Interval sweep over the access trace ordered by start time: an access
-  /// only needs checking against the accesses still in flight when it
-  /// starts, so the all-clear case (every healthy kernel) is near-linear.
+  /// Interval sweep over the access trace in start order: an access only
+  /// needs checking against the accesses still in flight when it starts,
+  /// so the all-clear case (every healthy kernel) is near-linear.
   bool anyRace() {
     size_t N = S.Accesses.size();
     if (N < 2)
       return false;
-    S.RaceOrder.resize(N);
-    for (size_t I = 0; I < N; ++I)
-      S.RaceOrder[I] = static_cast<uint32_t>(I);
-    std::sort(S.RaceOrder.begin(), S.RaceOrder.end(),
-              [&](uint32_t A, uint32_t B) {
-                return S.Accesses[A].Start < S.Accesses[B].Start ||
-                       (S.Accesses[A].Start == S.Accesses[B].Start && A < B);
-              });
-    S.RaceActive.clear();
-    for (uint32_t Idx : S.RaceOrder) {
-      const SmemAccess &B = S.Accesses[Idx];
+    // The scheduler never starts an instance before the previous one (see
+    // schedule), so the trace is already in start order.
+    assert(std::is_sorted(S.Accesses.begin(), S.Accesses.end(),
+                          [](const SmemAccess &A, const SmemAccess &B) {
+                            return A.Start < B.Start;
+                          }) &&
+           "shared-memory trace out of start order");
+    // Checks B against one list of earlier accesses, dropping expired ones.
+    auto Sweep = [&](std::vector<uint32_t> &Active, const SmemAccess &B) {
       size_t Keep = 0;
-      for (uint32_t ActiveIdx : S.RaceActive) {
+      for (uint32_t ActiveIdx : Active) {
         const SmemAccess &A = S.Accesses[ActiveIdx];
         if (A.End <= B.Start)
           continue; // Expired: can never overlap anything later either.
         if (isRacePair(A, B))
           return true;
-        S.RaceActive[Keep++] = ActiveIdx;
+        Active[Keep++] = ActiveIdx;
       }
-      S.RaceActive.resize(Keep);
-      S.RaceActive.push_back(Idx);
+      Active.resize(Keep);
+      return false;
+    };
+    // Two reads never race, so in-flight reads and writes are kept apart
+    // and a read is checked against the writes only.
+    S.RaceWrites.clear();
+    S.RaceReads.clear();
+    for (uint32_t Idx = 0; Idx < N; ++Idx) {
+      const SmemAccess &B = S.Accesses[Idx];
+      if (Sweep(S.RaceWrites, B) || (B.Write && Sweep(S.RaceReads, B)))
+        return true;
+      (B.Write ? S.RaceWrites : S.RaceReads).push_back(Idx);
     }
     return false;
   }

@@ -129,8 +129,11 @@ inline Diagnostic cancelDiagnostic(Diagnostic::Code Code,
 /// path without re-reading the clock.
 class CancelCheck {
 public:
+  /// Polls between clock reads when the caller does not choose a stride.
+  static constexpr unsigned DefaultStride = 256;
+
   CancelCheck() = default;
-  explicit CancelCheck(const Cancellation &C, unsigned Stride = 256)
+  explicit CancelCheck(const Cancellation &C, unsigned Stride = DefaultStride)
       : C(C), Stride(C.active() ? Stride : 0) {}
 
   bool enabled() const { return Stride != 0; }

@@ -15,6 +15,7 @@
 #include "runtime/Runtime.h"
 #include "sim/LeafRegistry.h"
 #include "sim/Simulator.h"
+#include "support/Cancel.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -322,4 +323,150 @@ TEST(Timing, FunctionalAndTimingAgreeOnFlops) {
   // Useful FLOPs from leaf annotations = 2MNK (plus epsilon for clears).
   EXPECT_NEAR(Result->TotalFlops, gemmFlops(Config),
               0.02 * gemmFlops(Config));
+}
+
+//===----------------------------------------------------------------------===//
+// Scheduler failure paths
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A hand-built one-block module for the scheduler's failure paths and
+/// the race detector. Body ops are SIMT leaf calls and copies, so only the
+/// event wiring, the cost model and the shared-memory placement matter.
+struct BlockModule {
+  IRModule Module;
+  SharedAllocation Alloc;
+  Operation *Grid = nullptr;
+
+  explicit BlockModule(bool WarpSpecialize) {
+    Grid = &append(Module.root(), OpKind::PFor);
+    Grid->PForProc = Processor::Block;
+    Grid->LoopHi = ScalarExpr(1);
+    Grid->WarpSpecialize = WarpSpecialize;
+  }
+
+  Operation &append(IRBlock &Into, OpKind Kind) {
+    auto Op = std::make_unique<Operation>();
+    Op->Kind = Kind;
+    Op->Id = Module.freshOpId();
+    Into.Ops.push_back(std::move(Op));
+    return *Into.Ops.back();
+  }
+
+  Operation &loop(IRBlock &Into, int64_t Trips, LoopVarId Var) {
+    Operation &Op = append(Into, OpKind::For);
+    Op.LoopVar = Var;
+    Op.LoopVarName = "k" + std::to_string(Var);
+    Op.LoopHi = ScalarExpr(Trips);
+    return Op;
+  }
+
+  /// A call producing a fresh unit event after every event in \p Waits.
+  EventId call(IRBlock &Into, const std::string &Name, bool Dma,
+               std::vector<EventId> Waits = {}) {
+    Operation &Op = append(Into, OpKind::Call);
+    Op.Callee = Name;
+    Op.Flops = 256;
+    Op.DmaAgent = Dma;
+    Op.Result = Module.addEvent(Name, EventType{});
+    for (EventId Wait : Waits)
+      Op.Preconds.push_back(EventRef::unit(Wait));
+    return Op.Result;
+  }
+
+  ErrorOr<SimResult> run(const Cancellation *Cancel = nullptr) const {
+    return simulate(Module, Alloc, SimConfig(), LeafRegistry::sharedBuiltins(),
+                    {}, nullptr, nullptr, Cancel);
+  }
+};
+
+} // namespace
+
+TEST(Timing, MissingProducerDeadlockNamesTheBlockedHead) {
+  // The DMA agent (0) issues all four loads; compute agent 1 runs its
+  // first consumer, then blocks on an event whose only producer sits in a
+  // zero-trip loop, so its completion slot stays empty for good.
+  BlockModule B(/*WarpSpecialize=*/true);
+  EventId Never = B.call(B.loop(B.Grid->Body, 0, 0).Body, "never", false);
+  IRBlock &Body = B.loop(B.Grid->Body, 4, 1).Body;
+  EventId Load = B.call(Body, "load", true);
+  B.call(Body, "use", false, {Load});
+  B.call(Body, "stuck", false, {Never});
+  ErrorOr<SimResult> Result = B.run();
+  ASSERT_FALSE(Result);
+  EXPECT_EQ(Result.diagnostic().message(),
+            "simulation deadlock: agent 1 blocked at instruction 1 "
+            "(missing event producer)");
+
+  // A head blocked without an empty slot to wait on: a top-level call
+  // waiting on a loop-body event names no single producer instance.
+  BlockModule Shallow(/*WarpSpecialize=*/false);
+  EventId Inner =
+      Shallow.call(Shallow.loop(Shallow.Grid->Body, 2, 0).Body, "inner", false);
+  Shallow.call(Shallow.Grid->Body, "after", false, {Inner});
+  Shallow.call(Shallow.Grid->Body, "tail", false);
+  Result = Shallow.run();
+  ASSERT_FALSE(Result);
+  EXPECT_EQ(Result.diagnostic().message(),
+            "simulation deadlock: agent 1 blocked at instruction 2 "
+            "(missing event producer)");
+}
+
+TEST(Timing, WriteOverAnInFlightReadIsARace) {
+  // The DMA agent's copy overwrites a shared tile while agent 1's long
+  // call is still reading it, with no event between them. The read starts
+  // first, so only a sweep that checks a write against in-flight reads
+  // catches it.
+  BlockModule B(/*WarpSpecialize=*/true);
+  TensorType Type{Shape({16, 32}), ElementType::F16};
+  TensorId Src = B.Module.addTensor("src", Type, Memory::Global);
+  TensorId Tile = B.Module.addTensor("tile", Type, Memory::Shared);
+  B.Alloc.Entries.push_back({Tile, 0, Type.sizeBytes()});
+  B.Alloc.buildIndex();
+
+  B.call(B.Grid->Body, "delay", /*Dma=*/true);
+  Operation &Copy = B.append(B.Grid->Body, OpKind::Copy);
+  Copy.DmaAgent = true;
+  Copy.CopySrc = TensorSlice::whole(Src);
+  Copy.CopyDst = TensorSlice::whole(Tile);
+  Copy.Result = B.Module.addEvent("copied", EventType{});
+  B.call(B.Grid->Body, "reader", /*Dma=*/false);
+  Operation &Reader = *B.Grid->Body.Ops.back();
+  Reader.Flops = 1e6;
+  Reader.Args = {TensorSlice::whole(Tile)};
+  Reader.ArgIsWritten = {false};
+
+  ErrorOr<SimResult> Result = B.run();
+  ASSERT_TRUE(Result) << Result.diagnostic().message();
+  ASSERT_EQ(Result->Races.size(), 1u);
+  EXPECT_EQ(Result->Races[0], "shared-memory hazard between tile and tile "
+                              "(aliased bytes [0, 1024) overlap in time)");
+}
+
+TEST(Timing, DeadlineStopsEventRelaxation) {
+  // The expansion checkpoint polls once per top-level unit and reads the
+  // clock only every DefaultStride-th poll, so with fewer units than that
+  // a deadline that passes after the entry check is first observed by the
+  // scheduling loop. The run (about 10^5 instances) takes far longer than
+  // the deadline on any host.
+  const int64_t Units = CancelCheck::DefaultStride - 1;
+  BlockModule B(/*WarpSpecialize=*/false);
+  IRBlock &Outer = B.loop(B.Grid->Body, Units, 0).Body;
+  B.call(B.loop(Outer, 400, 1).Body, "step", false);
+  for (int Attempt = 0; Attempt < 5; ++Attempt) {
+    Cancellation Cancel(Deadline::afterMicros(500));
+    ErrorOr<SimResult> Result = B.run(&Cancel);
+    ASSERT_FALSE(Result) << "the run finished inside its deadline";
+    EXPECT_EQ(Result.diagnostic().code(),
+              Diagnostic::Code::DeadlineExceeded);
+    // The entry checkpoint fires only if this thread was descheduled for
+    // the whole deadline before reaching it; try again.
+    if (Result.diagnostic().message() == "deadline exceeded during simulation")
+      continue;
+    EXPECT_EQ(Result.diagnostic().message(),
+              "deadline exceeded during simulation event relaxation");
+    return;
+  }
+  FAIL() << "the deadline expired before the entry checkpoint every time";
 }

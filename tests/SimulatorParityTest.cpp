@@ -20,10 +20,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 
 using namespace cypress;
 using namespace cypress::testkernels;
+
+#ifndef CYPRESS_GOLDEN_DIR
+#error "CYPRESS_GOLDEN_DIR must point at tests/goldens"
+#endif
 
 namespace {
 
@@ -88,6 +96,108 @@ TEST(SimulatorParity, AttentionShortSequenceGolden) {
   ASSERT_NE(C.Kernel, nullptr) << C.Error;
   expectGolden(C.Kernel->runTiming(), 32140.68003675872,
                345.53303429831527, 6623342592.0, 64, 1);
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded points of the tuner spaces
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The timing results of 32 seeded, statically feasible points of the
+/// guided GEMM and FA2/FA3 spaces at small sizes, one block per point:
+/// the point, its block/Tensor Core/TMA cycles (round-trip %.17g), and
+/// every race diagnostic. The attention draws cycle through three kinds:
+/// a racy point (unequal effective K/V pipeline depths the compiler
+/// fails to synchronize), a race-free point with unequal depths, and one
+/// with equal depths, so the timing of racy kernels is pinned too.
+/// Points the pipeline still rejects are skipped (the draw continues).
+std::string seededSpaceTimings() {
+  GemmConfig Gemm;
+  Gemm.M = Gemm.N = Gemm.K = 1024;
+  struct Family {
+    KernelSearchSpec Spec;
+    size_t Points;
+  } Families[] = {
+      {gemmSearchSpec(Gemm, gemmGuidedAxes()), 12},
+      {attentionSearchSpec(fa2Config(2048), attentionGuidedAxes()), 10},
+      {attentionSearchSpec(fa3Config(2048), attentionGuidedAxes()), 10}};
+  const MachineModel &H100 = MachineModel::h100();
+  SplitMix64 Rng(0x51de5eedULL);
+  std::string Out;
+  for (Family &F : Families) {
+    MappingSpace Space(F.Spec, H100);
+    TaskRegistry Registry;
+    F.Spec.Register(Registry);
+    bool Attention = F.Spec.KernelName == "fa";
+    size_t Taken = 0;
+    while (Taken < F.Points) {
+      MappingSpace::Candidate Cand =
+          Space.candidateAt(Rng.nextBelow(Space.size()));
+      if (!Cand.feasible())
+        continue;
+      if (Attention) {
+        // 0 on a per-stream depth axis inherits PIPE.
+        int64_t Pipe = Cand.Point.at("PIPE");
+        int64_t K = Cand.Point.at("PIPE_K"), V = Cand.Point.at("PIPE_V");
+        bool Unequal = (K ? K : Pipe) != (V ? V : Pipe);
+        if (Unequal != (Taken % 3 != 2))
+          continue;
+      }
+      MappingSpec Mapping = F.Spec.BuildMapping(Cand.Point);
+      CompileInput Input{&Registry, &Mapping, &H100,
+                         F.Spec.BuildArgs(Cand.Point)};
+      ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
+          compileKernel(Input, F.Spec.KernelName);
+      if (!Kernel)
+        continue;
+      ErrorOr<SimResult> R = (*Kernel)->runTiming();
+      if (Attention && Taken % 3 != 2 &&
+          (R && !R->Races.empty()) != (Taken % 3 == 0))
+        continue;
+      Out += F.Spec.KernelName + " " + Cand.Point.str() + "\n";
+      if (!R) {
+        Out += "  error: " + R.diagnostic().message() + "\n";
+      } else {
+        char Line[160];
+        std::snprintf(Line, sizeof(Line), "  block=%.17g tc=%.17g tma=%.17g\n",
+                      R->BlockCycles, R->TensorCoreBusyCycles,
+                      R->TmaBusyCycles);
+        Out += Line;
+        for (const std::string &Race : R->Races)
+          Out += "  race: " + Race + "\n";
+      }
+      ++Taken;
+    }
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(SimulatorParity, SeededTunerSpacePointsGolden) {
+  // Recorded before the blocked-head scheduler and per-op instance
+  // templates; regenerate with CYPRESS_UPDATE_GOLDENS=1 only after an
+  // intentional timing-model change. Compared byte for byte, so it
+  // assumes no floating-point contraction (true of x86-64 builds without
+  // -march flags; a target whose compiler fuses multiply-adds by default
+  // may differ in the last digits).
+  std::string Actual = seededSpaceTimings();
+  std::string Path =
+      std::string(CYPRESS_GOLDEN_DIR) + "/sim_seeded_points.txt";
+  const char *Update = std::getenv("CYPRESS_UPDATE_GOLDENS");
+  if (Update && *Update && std::string(Update) != "0") {
+    std::ofstream Out(Path, std::ios::binary);
+    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
+    Out << Actual;
+    return;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In.good()) << "missing golden " << Path
+                         << " (record with CYPRESS_UPDATE_GOLDENS=1)";
+  std::ostringstream Golden;
+  Golden << In.rdbuf();
+  EXPECT_EQ(Actual, Golden.str());
 }
 
 //===----------------------------------------------------------------------===//
