@@ -286,8 +286,7 @@ TuneResult Tuner::tune(const KernelSearchSpec &Spec,
     // cap, a diagnostic beats an out-of-memory kill.
     Result.Error = formatString(
         "mapping space has %zu candidates, over the exhaustive sweep cap "
-        "of %zu; search it with tuneBudgeted() or raise "
-        "Tuner::ExhaustiveCandidateCap",
+        "of %zu; search it with tuneBudgeted()",
         Space.size(), ExhaustiveCandidateCap);
     return Result;
   }

@@ -224,11 +224,11 @@ public:
   /// TuneResult::Error instead of materializing the product (the analogue
   /// of the simulator's event-slot cap): exhaustive sweeps over 10^5+
   /// points are almost always a mistake — use tuneBudgeted().
-  size_t ExhaustiveCandidateCap = 1 << 16;
+  static constexpr size_t ExhaustiveCandidateCap = 1 << 16;
 
   /// Spaces at most this big fall back from tuneBudgeted to an exhaustive
   /// sweep when the budget covers them (see tuneBudgeted).
-  size_t SmallSpaceThreshold = 256;
+  static constexpr size_t SmallSpaceThreshold = 256;
 
   CompilerSession &session() { return *Session; }
 

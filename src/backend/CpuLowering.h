@@ -14,12 +14,13 @@
 /// block body in program order, this lowering reproduces the emitted
 /// kernel's control structure: one DMA agent plus one agent per compute
 /// warpgroup, each advancing through its own instruction stream in order
-/// and blocking on unresolved event preconditions exactly as the timing
-/// simulator's BlockTimer does (same ownership rule, same precondition
-/// keying, same pipeline-lag vacuity, same loop-completion events). Running
-/// both executors over shared inputs and comparing outputs is the repo's
-/// offline differential check that the emitted schedule computes the same
-/// function as the task program (tests/BackendExecTest.cpp).
+/// and blocking on unresolved event preconditions. It drives the shared
+/// `Schedule` (src/sim/Schedule.h), the same agent expansion the timing
+/// simulator's BlockTimer drives, so ownership, precondition keying,
+/// pipeline-lag vacuity and loop-completion events are one implementation.
+/// Running both executors over shared inputs and comparing outputs is the
+/// repo's offline differential check that the emitted schedule computes
+/// the same function as the task program (tests/BackendExecTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +52,8 @@ struct LoweredStats {
 /// the compile-time types). Fails with a diagnostic on a schedule deadlock
 /// (an event wait no agent can satisfy — i.e. the compiler emitted an
 /// unexecutable kernel), an unregistered leaf, or a malformed copy.
-/// \p Cancel (when active) is polled at unroll and scheduler-round
-/// boundaries; an expired deadline or fired token stops the run with the
+/// \p Cancel (when active) is polled once per top-level unit of each
+/// block's schedule expansion and at scheduler-round boundaries; an expired deadline or fired token stops the run with the
 /// checkpoint's structured diagnostic instead of letting a stalled
 /// schedule spin forever. A genuinely stuck schedule still surfaces as
 /// the deadlock diagnostic — progress detection runs before the

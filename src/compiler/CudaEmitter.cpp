@@ -46,9 +46,7 @@ namespace {
 int64_t numWarpgroups(const IRBlock &Body) {
   int64_t Count = 1;
   walkOps(Body, [&](const Operation &Op) {
-    for (const EventDim &Dim : Op.VecContext)
-      if (Dim.Proc == Processor::Warpgroup)
-        Count = std::max(Count, Dim.Extent);
+    Count = std::max(Count, warpgroupExtent(Op));
   });
   return Count;
 }

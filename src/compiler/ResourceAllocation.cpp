@@ -255,11 +255,7 @@ private:
     for (const Operation *Op : S.Order) {
       if (Op->Kind != OpKind::Alloc)
         continue;
-      int64_t Extent = 1;
-      for (const EventDim &Dim : Op->VecContext)
-        if (Dim.Proc == Processor::Warpgroup)
-          Extent = Dim.Extent;
-      S.WgExtent[Op->AllocTensor] = Extent;
+      S.WgExtent[Op->AllocTensor] = warpgroupExtent(*Op);
     }
 
     S.Ranges.clear();

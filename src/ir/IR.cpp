@@ -174,6 +174,13 @@ size_t countBlockOps(const IRBlock &Block) {
 }
 } // namespace
 
+int64_t cypress::warpgroupExtent(const Operation &Op) {
+  for (const EventDim &Dim : Op.VecContext)
+    if (Dim.Proc == Processor::Warpgroup)
+      return Dim.Extent;
+  return 1;
+}
+
 size_t cypress::countOps(const IRModule &Module) {
   // Runs after every pass (PipelineStats); direct recursion, no
   // std::function dispatch per op.

@@ -390,6 +390,10 @@ void walkOps(IRBlock &Block, const std::function<void(Operation &)> &Fn);
 void walkOps(const IRBlock &Block,
              const std::function<void(const Operation &)> &Fn);
 
+/// Warpgroup replication count of \p Op: the extent of its warpgroup
+/// processor dimension, 1 when it has none.
+int64_t warpgroupExtent(const Operation &Op);
+
 /// Number of operations in the module, recursing into loop bodies. The
 /// pass manager records this after every stage as its IR-size statistic.
 size_t countOps(const IRModule &Module);

@@ -13,9 +13,10 @@
 /// divergence means warp specialization or pipelining produced a schedule
 /// that computes something other than the task program.
 ///
-/// Also pins the harness itself: two lowered runs must be bit-identical
-/// (the agent scheduler is deterministic), and an injected corruption must
-/// make the differ fail (the comparison actually compares).
+/// Also pins the harness itself: each lowered run's LoweredStats must match
+/// exactly, two lowered runs must be bit-identical (the agent scheduler is
+/// deterministic), and an injected corruption must make the differ fail
+/// (the comparison actually compares).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,9 +39,13 @@ constexpr float AbsTol = 1e-5f;
 
 /// Runs \p Compiled both ways on identical inputs and compares every
 /// entry buffer (outputs and inputs — the lowering must not clobber
-/// arguments the functional path leaves alone).
+/// arguments the functional path leaves alone). \p Expected pins the
+/// lowered run's {Blocks, Agents, Instances, Stalls} exactly: the stall
+/// count is a fingerprint of the round-robin order, so a change to the
+/// agent schedule shows up here even when the output still matches.
 void expectDifferentialMatch(Compiled &C, KernelBuffers &&Functional,
-                             KernelBuffers &&Lowered) {
+                             KernelBuffers &&Lowered,
+                             const LoweredStats &Expected) {
   ASSERT_NE(C.Kernel, nullptr) << C.Error;
 
   ErrorOr<SimResult> Ref = C.Kernel->runFunctional(Functional.ptrs());
@@ -51,8 +56,10 @@ void expectDifferentialMatch(Compiled &C, KernelBuffers &&Functional,
       runCpuLowered(C.Kernel->module(), LeafRegistry::sharedBuiltins(),
                     Lowered.ptrs());
   ASSERT_TRUE(Stats) << (Stats ? "" : Stats.diagnostic().message());
-  EXPECT_GT(Stats->Blocks, 0);
-  EXPECT_GT(Stats->Instances, 0);
+  EXPECT_EQ(Stats->Blocks, Expected.Blocks);
+  EXPECT_EQ(Stats->Agents, Expected.Agents);
+  EXPECT_EQ(Stats->Instances, Expected.Instances);
+  EXPECT_EQ(Stats->Stalls, Expected.Stalls);
 
   for (size_t I = 0; I < Functional.Data.size(); ++I)
     EXPECT_EQ("", compareTensors(Lowered.Data[I], Functional.Data[I],
@@ -69,7 +76,8 @@ void expectDifferentialMatch(Compiled &C, KernelBuffers &&Functional,
 TEST(BackendExec, GemmMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Compiled C = compileGemm(Config);
-  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config));
+  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config),
+                          LoweredStats{4, 3, 56, 16});
 }
 
 TEST(BackendExec, GemmDeepPipelineMatchesFunctional) {
@@ -79,7 +87,8 @@ TEST(BackendExec, GemmDeepPipelineMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Config.K = 256;
   Compiled C = compileGemm(Config);
-  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config));
+  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config),
+                          LoweredStats{4, 3, 88, 36});
 }
 
 TEST(BackendExec, BatchedGemmMatchesFunctional) {
@@ -87,34 +96,39 @@ TEST(BackendExec, BatchedGemmMatchesFunctional) {
   Config.L = 2;
   Compiled C = compileBatchedGemm(Config);
   expectDifferentialMatch(C, batchedGemmInputs(Config),
-                          batchedGemmInputs(Config));
+                          batchedGemmInputs(Config),
+                          LoweredStats{8, 3, 112, 32});
 }
 
 TEST(BackendExec, AttentionFa2MatchesFunctional) {
   AttentionConfig Config = smallAttentionConfig(/*StageScores=*/false);
   Compiled C = compileAttention(Config);
   expectDifferentialMatch(C, attentionInputs(Config),
-                          attentionInputs(Config));
+                          attentionInputs(Config),
+                          LoweredStats{4, 4, 328, 144});
 }
 
 TEST(BackendExec, AttentionFa3MatchesFunctional) {
   AttentionConfig Config = smallAttentionConfig(/*StageScores=*/true);
   Compiled C = compileAttention(Config);
   expectDifferentialMatch(C, attentionInputs(Config),
-                          attentionInputs(Config));
+                          attentionInputs(Config),
+                          LoweredStats{4, 4, 400, 208});
 }
 
 TEST(BackendExec, DualGemmMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Compiled C = compileDualGemm(Config);
   expectDifferentialMatch(C, dualGemmInputs(Config),
-                          dualGemmInputs(Config));
+                          dualGemmInputs(Config),
+                          LoweredStats{4, 3, 64, 16});
 }
 
 TEST(BackendExec, GemmReductionMatchesFunctional) {
   GemmConfig Config = smallGemmConfig();
   Compiled C = compileGemmRed(Config);
-  expectDifferentialMatch(C, gemmRedInputs(Config), gemmRedInputs(Config));
+  expectDifferentialMatch(C, gemmRedInputs(Config), gemmRedInputs(Config),
+                          LoweredStats{4, 3, 96, 16});
 }
 
 TEST(BackendExec, NonWarpSpecializedMatchesFunctional) {
@@ -125,7 +139,8 @@ TEST(BackendExec, NonWarpSpecializedMatchesFunctional) {
   Config.Pipe = 1;
   Config.WarpSpecialize = false;
   Compiled C = compileGemm(Config);
-  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config));
+  expectDifferentialMatch(C, gemmInputs(Config), gemmInputs(Config),
+                          LoweredStats{4, 3, 56, 12});
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,10 +7,12 @@
 /// \file
 /// Tests of the simulated H100 substrate: the builtin leaf functions, the
 /// timing model's qualitative properties (async overlap, pipeline scaling,
-/// bandwidth/throughput limits, wave quantization), and the race detector.
+/// bandwidth/throughput limits, wave quantization), the race detector, and
+/// the deadlock reports of both executors that drive the agent schedule.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backend/CpuLowering.h"
 #include "kernels/Kernels.h"
 #include "runtime/Runtime.h"
 #include "sim/LeafRegistry.h"
@@ -383,34 +385,71 @@ struct BlockModule {
 
 } // namespace
 
-TEST(Timing, MissingProducerDeadlockNamesTheBlockedHead) {
-  // The DMA agent (0) issues all four loads; compute agent 1 runs its
-  // first consumer, then blocks on an event whose only producer sits in a
-  // zero-trip loop, so its completion slot stays empty for good.
-  BlockModule B(/*WarpSpecialize=*/true);
+namespace {
+
+/// The DMA agent (0) issues all four loads; compute agent 1 runs its first
+/// consumer, then blocks on an event whose only producer sits in a
+/// zero-trip loop, so its completion slot stays empty for good.
+void buildStuckConsumer(BlockModule &B) {
   EventId Never = B.call(B.loop(B.Grid->Body, 0, 0).Body, "never", false);
   IRBlock &Body = B.loop(B.Grid->Body, 4, 1).Body;
   EventId Load = B.call(Body, "load", true);
   B.call(Body, "use", false, {Load});
   B.call(Body, "stuck", false, {Never});
+}
+
+/// A head blocked without an empty slot to wait on: a top-level call
+/// waiting on a loop-body event names no single producer instance.
+void buildShallowConsumer(BlockModule &B) {
+  EventId Inner = B.call(B.loop(B.Grid->Body, 2, 0).Body, "inner", false);
+  B.call(B.Grid->Body, "after", false, {Inner});
+  B.call(B.Grid->Body, "tail", false);
+}
+
+} // namespace
+
+TEST(Timing, MissingProducerDeadlockNamesTheBlockedHead) {
+  BlockModule B(/*WarpSpecialize=*/true);
+  buildStuckConsumer(B);
   ErrorOr<SimResult> Result = B.run();
   ASSERT_FALSE(Result);
   EXPECT_EQ(Result.diagnostic().message(),
             "simulation deadlock: agent 1 blocked at instruction 1 "
             "(missing event producer)");
 
-  // A head blocked without an empty slot to wait on: a top-level call
-  // waiting on a loop-body event names no single producer instance.
   BlockModule Shallow(/*WarpSpecialize=*/false);
-  EventId Inner =
-      Shallow.call(Shallow.loop(Shallow.Grid->Body, 2, 0).Body, "inner", false);
-  Shallow.call(Shallow.Grid->Body, "after", false, {Inner});
-  Shallow.call(Shallow.Grid->Body, "tail", false);
+  buildShallowConsumer(Shallow);
   Result = Shallow.run();
   ASSERT_FALSE(Result);
   EXPECT_EQ(Result.diagnostic().message(),
             "simulation deadlock: agent 1 blocked at instruction 2 "
             "(missing event producer)");
+}
+
+TEST(LoweredExecution, MissingProducerDeadlockNamesTheBlockedHead) {
+  // The same two schedules through the CPU lowering's round-robin agent
+  // drain, which names the blocked head by its callee.
+  LeafRegistry NoOps;
+  for (const char *Name :
+       {"never", "load", "use", "stuck", "inner", "after", "tail"})
+    NoOps.add(Name, [](std::vector<TensorView> &,
+                       const std::vector<int64_t> &) {});
+
+  BlockModule B(/*WarpSpecialize=*/true);
+  buildStuckConsumer(B);
+  ErrorOr<LoweredStats> Stats = runCpuLowered(B.Module, NoOps, {});
+  ASSERT_FALSE(Stats);
+  EXPECT_EQ(Stats.diagnostic().message(),
+            "lowered-execution deadlock: agent 1 blocked at stuck "
+            "(event producer missing or never scheduled)");
+
+  BlockModule Shallow(/*WarpSpecialize=*/false);
+  buildShallowConsumer(Shallow);
+  Stats = runCpuLowered(Shallow.Module, NoOps, {});
+  ASSERT_FALSE(Stats);
+  EXPECT_EQ(Stats.diagnostic().message(),
+            "lowered-execution deadlock: agent 1 blocked at after "
+            "(event producer missing or never scheduled)");
 }
 
 TEST(Timing, WriteOverAnInFlightReadIsARace) {
