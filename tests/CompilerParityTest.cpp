@@ -14,23 +14,32 @@
 /// CYPRESS_PRINT_IR_AFTER_ALL dump of a pipeline run, compared byte for
 /// byte.
 ///
+/// The six kernels above run their default mappings only; a seventh golden
+/// pins 24 seeded guided-space points (SIMT-pinned copies, per-tensor
+/// pipeline depths, shared-memory caps) as one per-pass digest line each.
+///
 /// Regenerate with CYPRESS_UPDATE_GOLDENS=1 (writes into the source tree's
 /// tests/goldens/) after an *intentional* output change; never to paper
 /// over an unintentional one.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestKernels.h"
 #include "compiler/PassManager.h"
 #include "kernels/Kernels.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace cypress;
+using namespace cypress::testkernels;
 
 #ifndef CYPRESS_GOLDEN_DIR
 #error "CYPRESS_GOLDEN_DIR must point at tests/goldens"
@@ -55,12 +64,16 @@ std::string goldenPath(const std::string &Name) {
   return std::string(CYPRESS_GOLDEN_DIR) + "/" + Name + ".ir";
 }
 
+bool updateGoldens() {
+  const char *Update = std::getenv("CYPRESS_UPDATE_GOLDENS");
+  return Update && *Update && std::string(Update) != "0";
+}
+
 void checkGolden(const std::string &Name, const CompileInput &Input) {
   std::string Dump = dumpPipeline(Input);
   ASSERT_FALSE(Dump.empty());
 
-  const char *Update = std::getenv("CYPRESS_UPDATE_GOLDENS");
-  if (Update && *Update && std::string(Update) != "0") {
+  if (updateGoldens()) {
     std::ofstream Out(goldenPath(Name), std::ios::binary);
     ASSERT_TRUE(Out.good()) << "cannot write " << goldenPath(Name);
     Out << Dump;
@@ -162,4 +175,110 @@ TEST(CompilerParity, GemmReduction4096) {
   std::vector<TensorType> Args = gemmRedArgTypes(Config);
   checkGolden("gemm_red_4096",
               {&Registry, &Mapping, &MachineModel::h100(), Args});
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded guided-space points
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One pipeline stage of one point: its golden line and the IR it digests.
+struct PassRecord {
+  std::string Name;
+  std::string Line;
+  std::string IR;
+};
+
+struct PointRecord {
+  std::string Label;
+  std::vector<PassRecord> Passes;
+};
+
+/// Runs \p Point through the default pipeline and digests the printed IR
+/// after every pass (the CYPRESS_PRINT_IR_AFTER_ALL sections), next to the
+/// pass's IR-size and rewrite statistics.
+PointRecord recordPoint(const GuidedCompilePoint &Point) {
+  std::ostringstream OS;
+  PassPipeline Pipeline = PassPipeline::defaultPipeline();
+  Pipeline.setPrintIRAfterAll(true);
+  Pipeline.setPrintStream(OS);
+  PipelineStats Stats;
+  ErrorOr<IRModule> Module = Pipeline.run(Point.input(), nullptr, &Stats);
+  EXPECT_TRUE(Module) << Point.Label << ": "
+                      << (Module ? "" : Module.diagnostic().str());
+  std::string Dump = OS.str();
+  PointRecord Record{Point.Label, {}};
+  size_t Pos = 0;
+  for (const PassStat &S : Stats.Passes) {
+    std::string Header = "// --- IR after " + S.Name + " ---\n";
+    size_t Start = Dump.find(Header, Pos);
+    if (Start == std::string::npos)
+      break; // The pass failed: no dump.
+    Start += Header.size();
+    size_t End = Dump.find("// --- IR after ", Start);
+    End = End == std::string::npos ? Dump.size() : End;
+    std::string IR = Dump.substr(Start, End - Start - 1); // Drop the '\n'
+                                                            // after the module.
+    Digest128 D = ContentHasher().str(IR).finish();
+    char Line[256];
+    std::snprintf(Line, sizeof(Line),
+                  "  %s ir=%016llx%016llx ops=%zu events=%zu tensors=%zu "
+                  "rewrites=%llu",
+                  S.Name.c_str(), static_cast<unsigned long long>(D[0]),
+                  static_cast<unsigned long long>(D[1]), S.OpsAfter,
+                  S.EventsAfter, S.TensorsAfter,
+                  static_cast<unsigned long long>(S.Rewrites));
+    Record.Passes.push_back({S.Name, Line, std::move(IR)});
+    Pos = End;
+  }
+  return Record;
+}
+
+} // namespace
+
+TEST(CompilerParity, SeededGuidedPointsGolden) {
+  std::vector<PointRecord> Records;
+  std::string Actual;
+  for (const GuidedCompilePoint &Point : seededGuidedCompilePoints()) {
+    Records.push_back(recordPoint(Point));
+    Actual += Records.back().Label + "\n";
+    for (const PassRecord &P : Records.back().Passes)
+      Actual += P.Line + "\n";
+  }
+  ASSERT_EQ(Records.size(), 24u);
+
+  std::string Path =
+      std::string(CYPRESS_GOLDEN_DIR) + "/compiler_seeded_points.txt";
+  if (updateGoldens()) {
+    std::ofstream Out(Path, std::ios::binary);
+    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
+    Out << Actual;
+    return;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In.good()) << "missing golden " << Path
+                         << " (record with CYPRESS_UPDATE_GOLDENS=1)";
+  std::vector<std::string> Golden;
+  for (std::string Line; std::getline(In, Line);)
+    Golden.push_back(Line);
+
+  // Walk the records against the golden lines; report the first point and
+  // pass that diverge with the IR that pass printed.
+  size_t At = 0;
+  for (const PointRecord &R : Records) {
+    ASSERT_LT(At, Golden.size()) << "golden ends before point " << R.Label;
+    ASSERT_EQ(Golden[At], R.Label) << "the seeded draw changed";
+    ++At;
+    for (const PassRecord &P : R.Passes) {
+      ASSERT_LT(At, Golden.size()) << "golden ends inside point " << R.Label;
+      if (Golden[At] != P.Line)
+        FAIL() << R.Label << ": first divergence after pass '" << P.Name
+               << "'\n  golden:" << Golden[At] << "\n  actual:" << P.Line
+               << "\n// --- IR after " << P.Name << " ---\n"
+               << P.IR;
+      ++At;
+    }
+  }
+  EXPECT_EQ(At, Golden.size()) << "golden has lines past the last point";
 }

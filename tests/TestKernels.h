@@ -21,6 +21,7 @@
 #ifndef CYPRESS_TESTS_TESTKERNELS_H
 #define CYPRESS_TESTS_TESTKERNELS_H
 
+#include "autotune/KernelSpaces.h"
 #include "kernels/Kernels.h"
 #include "runtime/Runtime.h"
 #include "support/Random.h"
@@ -126,6 +127,81 @@ inline AttentionConfig smallAttentionConfig(bool StageScores = false) {
   Config.Heads = 2;
   Config.BC = 64;
   return Config;
+}
+
+//===----------------------------------------------------------------------===//
+// Seeded guided-space compile points
+//===----------------------------------------------------------------------===//
+
+/// One statically feasible point of a guided tuner space, with the compile
+/// input's parts it owns (the registry is shared by its family's points).
+struct GuidedCompilePoint {
+  std::string Label; ///< "<family> <point>", e.g. "fa3 BR=128 BC=64 ...".
+  std::shared_ptr<const TaskRegistry> Registry;
+  MappingSpec Mapping;
+  std::vector<TensorType> Args;
+
+  CompileInput input() const {
+    return {Registry.get(), &Mapping, &MachineModel::h100(), Args};
+  }
+};
+
+/// 24 seeded points the compiler accepts: 8 of the guided GEMM space at
+/// 1024^3, then 8 each of the guided FA2 and FA3 spaces at SEQ 2048. The
+/// draws cycle through the mapping features the default mappings never
+/// reach: GEMM points alternate between SIMT-pinned operand copies
+/// (TMA_A or TMA_B = 0), a shared-memory cap (SMEM != 0), and any point;
+/// attention points alternate between unequal effective K/V pipeline
+/// depths and a shared-memory cap. Points the pipeline rejects are
+/// skipped (the draw continues), so every point yields a full pipeline.
+inline std::vector<GuidedCompilePoint> seededGuidedCompilePoints() {
+  GemmConfig Gemm;
+  Gemm.M = Gemm.N = Gemm.K = 1024;
+  struct Family {
+    const char *Name;
+    KernelSearchSpec Spec;
+  } Families[] = {
+      {"gemm", gemmSearchSpec(Gemm, gemmGuidedAxes())},
+      {"fa2", attentionSearchSpec(fa2Config(2048), attentionGuidedAxes())},
+      {"fa3", attentionSearchSpec(fa3Config(2048), attentionGuidedAxes())}};
+  const MachineModel &H100 = MachineModel::h100();
+  SplitMix64 Rng(0xc0de5eedULL);
+  std::vector<GuidedCompilePoint> Points;
+  for (Family &F : Families) {
+    MappingSpace Space(F.Spec, H100);
+    auto Registry = std::make_shared<TaskRegistry>();
+    F.Spec.Register(*Registry);
+    bool Attention = F.Spec.KernelName == "fa";
+    size_t Taken = 0;
+    while (Taken < 8) {
+      MappingSpace::Candidate Cand =
+          Space.candidateAt(Rng.nextBelow(Space.size()));
+      if (!Cand.feasible())
+        continue;
+      const TuningPoint &P = Cand.Point;
+      bool Wanted;
+      if (Attention) {
+        // 0 on a per-stream depth axis inherits PIPE.
+        int64_t Pipe = P.at("PIPE");
+        int64_t K = P.at("PIPE_K"), V = P.at("PIPE_V");
+        Wanted = Taken % 2 == 0 ? (K ? K : Pipe) != (V ? V : Pipe)
+                                : P.at("SMEM") != 0;
+      } else {
+        Wanted = Taken % 3 == 0   ? P.at("TMA_A") == 0 || P.at("TMA_B") == 0
+                 : Taken % 3 == 1 ? P.at("SMEM") != 0
+                                  : true;
+      }
+      if (!Wanted)
+        continue;
+      GuidedCompilePoint Point{std::string(F.Name) + " " + P.str(), Registry,
+                               F.Spec.BuildMapping(P), F.Spec.BuildArgs(P)};
+      if (!compileToIR(Point.input()))
+        continue;
+      Points.push_back(std::move(Point));
+      ++Taken;
+    }
+  }
+  return Points;
 }
 
 //===----------------------------------------------------------------------===//
