@@ -13,7 +13,13 @@
 ///     as a table on startup and, when CYPRESS_BENCH_JSON is set, written
 ///     to `BENCH_compile_time.json` (schema in docs/BENCHMARKS.md).
 ///
-///  2. google-benchmark microbenchmarks of `compileToIR` and individual
+///  2. The mean per-pass wall time over the 24 seeded guided-space points
+///     CompilerParity pins (tests/TestKernels.h): the mappings serving and
+///     tuning actually compile (SIMT-pinned copies, per-tensor pipeline
+///     depths, shared-memory caps), per family. Written under the JSON's
+///     `guided` key; reported, never gated.
+///
+///  3. google-benchmark microbenchmarks of `compileToIR` and individual
 ///     stages, for statistically robust totals.
 ///
 /// Compilation happens once per kernel instantiation, so these times bound
@@ -22,6 +28,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "TestKernels.h"
 #include "compiler/PassManager.h"
 #include "support/AllocCounter.h"
 #include "support/Cancel.h"
@@ -133,10 +140,83 @@ CheckpointOverhead measureCheckpointOverhead() {
   return Result;
 }
 
+/// The mean per-pass time of one guided family's seeded points, each
+/// point's pipeline taken at its fastest of bench::kQuietBestOf warm runs.
+struct GuidedFamily {
+  std::string Family;
+  size_t Points = 0;
+  std::vector<std::string> PassNames;
+  std::vector<double> MeanMicros; ///< Per pass, PassNames order.
+  double MeanTotalMicros = 0.0;
+};
+
+std::vector<GuidedFamily> measureGuidedPoints() {
+  std::vector<GuidedFamily> Families;
+  PassPipeline Pipeline = PassPipeline::defaultPipeline();
+  for (const testkernels::GuidedCompilePoint &Point :
+       testkernels::seededGuidedCompilePoints()) {
+    CompileInput Input = Point.input();
+    std::optional<PipelineStats> Best;
+    for (int I = 0; I < bench::kQuietBestOf + 1; ++I) {
+      PipelineStats Stats;
+      if (!Pipeline.run(Input, nullptr, &Stats)) {
+        std::fprintf(stderr, "error: guided point %s failed\n",
+                     Point.Label.c_str());
+        return {};
+      }
+      if (I > 0 && (!Best || Stats.TotalMicros < Best->TotalMicros))
+        Best = std::move(Stats);
+    }
+    std::string Family = Point.Label.substr(0, Point.Label.find(' '));
+    if (Families.empty() || Families.back().Family != Family) {
+      Families.emplace_back();
+      Families.back().Family = Family;
+      for (const PassStat &S : Best->Passes)
+        Families.back().PassNames.push_back(S.Name);
+      Families.back().MeanMicros.assign(Best->Passes.size(), 0.0);
+    }
+    GuidedFamily &F = Families.back();
+    ++F.Points;
+    for (size_t J = 0; J < Best->Passes.size(); ++J)
+      F.MeanMicros[J] += Best->Passes[J].Micros;
+    F.MeanTotalMicros += Best->TotalMicros;
+  }
+  for (GuidedFamily &F : Families) {
+    for (double &Micros : F.MeanMicros)
+      Micros /= static_cast<double>(F.Points);
+    F.MeanTotalMicros /= static_cast<double>(F.Points);
+  }
+  return Families;
+}
+
+void printGuided(std::FILE *Out, const std::vector<GuidedFamily> &Families) {
+  if (Families.empty())
+    return;
+  std::fprintf(Out, "== mean per-pass time over seeded guided points ==\n");
+  std::fprintf(Out, "%-22s", "pass");
+  for (const GuidedFamily &F : Families)
+    std::fprintf(Out, "%9s_us", F.Family.c_str());
+  std::fprintf(Out, "\n");
+  for (size_t J = 0; J < Families[0].PassNames.size(); ++J) {
+    std::fprintf(Out, "%-22s", Families[0].PassNames[J].c_str());
+    for (const GuidedFamily &F : Families)
+      std::fprintf(Out, "%12.1f", F.MeanMicros[J]);
+    std::fprintf(Out, "\n");
+  }
+  std::fprintf(Out, "%-22s", "total");
+  for (const GuidedFamily &F : Families)
+    std::fprintf(Out, "%12.1f", F.MeanTotalMicros);
+  std::fprintf(Out, "\n%-22s", "points");
+  for (const GuidedFamily &F : Families)
+    std::fprintf(Out, "%12zu", F.Points);
+  std::fprintf(Out, "\n\n");
+}
+
 /// BENCH_compile_time.json via the same CYPRESS_BENCH_JSON convention as
 /// the Table drivers (value = directory, "1" = cwd).
 void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
-                    const CheckpointOverhead &Checkpoint) {
+                    const CheckpointOverhead &Checkpoint,
+                    const std::vector<GuidedFamily> &Guided) {
   std::FILE *Out = bench::benchJsonOpen("compile_time");
   if (!Out)
     return;
@@ -167,6 +247,18 @@ void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
                    J + 1 < B.Stats.Passes.size() ? "," : "");
     }
     std::fprintf(Out, "     ]}%s\n", I + 1 < Breakdowns.size() ? "," : "");
+  }
+  std::fprintf(Out, "  ],\n  \"guided\": [\n");
+  for (size_t I = 0; I < Guided.size(); ++I) {
+    const GuidedFamily &F = Guided[I];
+    std::fprintf(Out,
+                 "    {\"family\": \"%s\", \"points\": %zu, "
+                 "\"mean_total_us\": %.3f,\n     \"passes\": [",
+                 F.Family.c_str(), F.Points, F.MeanTotalMicros);
+    for (size_t J = 0; J < F.PassNames.size(); ++J)
+      std::fprintf(Out, "%s{\"pass\": \"%s\", \"mean_us\": %.3f}",
+                   J ? ", " : "", F.PassNames[J].c_str(), F.MeanMicros[J]);
+    std::fprintf(Out, "]}%s\n", I + 1 < Guided.size() ? "," : "");
   }
   std::fprintf(Out, "  ]\n}\n");
   std::fclose(Out);
@@ -222,6 +314,9 @@ void reportPerPassBreakdown(std::FILE *Out) {
 
   printBreakdown(Out, Breakdowns);
 
+  std::vector<GuidedFamily> Guided = measureGuidedPoints();
+  printGuided(Out, Guided);
+
   CheckpointOverhead Checkpoint = measureCheckpointOverhead();
   std::fprintf(Out,
                "cancellation checkpoints (gemm_4096 pipeline): %.1f us "
@@ -229,7 +324,7 @@ void reportPerPassBreakdown(std::FILE *Out) {
                Checkpoint.PlainMicros, Checkpoint.DeadlineMicros,
                Checkpoint.overheadPct());
 
-  maybeWriteJson(Breakdowns, Checkpoint);
+  maybeWriteJson(Breakdowns, Checkpoint, Guided);
 }
 
 //===----------------------------------------------------------------------===//

@@ -160,21 +160,37 @@ void collectRoots(const Operation &Op, std::vector<TensorId> &Out) {
 // Pooled graph scratch
 //===----------------------------------------------------------------------===//
 
-/// A worklist of op slots popped in ascending program-key order (min-heap)
-/// with a queued-flag per slot so re-seeding an already-queued anchor is
-/// free and pops come out deduplicated. Entries carry the slot's key at
-/// push time: heap comparisons then stay in registers instead of chasing
-/// the node table, which dominates sift cost at this pop rate. Keys only
-/// move during a hoist, which refreshes every entry (reheapWorklists).
+/// A worklist of anchors popped in ascending program position: one bit
+/// per position, so re-seeding an already-queued anchor is free, pops come
+/// out deduplicated, and a pop is a find-first-set over a few words.
+/// Positions are dense and re-derived after a hoist (see renumber), which
+/// remaps the queued bits along with them.
 struct SlotWorklist {
-  std::vector<std::pair<uint64_t, uint32_t>> Heap; ///< (key, slot).
-  std::vector<uint8_t> Queued;
+  std::vector<uint64_t> Bits; ///< By program position.
+  size_t Lowest = 0;          ///< Every word below this one is zero.
 
-  void reset(size_t Slots) {
-    Heap.clear();
-    Queued.assign(Slots, 0);
+  void reset(size_t Positions) {
+    Bits.assign((Positions + 63) / 64, 0);
+    Lowest = 0;
   }
-  bool empty() const { return Heap.empty(); }
+  void set(uint32_t Pos) {
+    size_t Word = Pos >> 6;
+    Bits[Word] |= 1ull << (Pos & 63);
+    if (Word < Lowest)
+      Lowest = Word;
+  }
+  bool empty() {
+    while (Lowest < Bits.size() && !Bits[Lowest])
+      ++Lowest;
+    return Lowest == Bits.size();
+  }
+  /// The lowest queued position, dequeued; requires !empty().
+  uint32_t pop() {
+    uint64_t &Word = Bits[Lowest];
+    unsigned Bit = static_cast<unsigned>(__builtin_ctzll(Word));
+    Word &= Word - 1;
+    return static_cast<uint32_t>(Lowest * 64 + Bit);
+  }
 };
 
 /// All per-run tables, pooled thread-locally so steady-state runs (tuner
@@ -185,15 +201,17 @@ struct GraphScratch {
     Operation *Op = nullptr;
     IRBlock *Block = nullptr;
     uint32_t Parent = ~0u; ///< Slot of the enclosing loop op (root: ~0u).
-    /// Program-order key with gaps: slots sort by Key, and a hoisted op
-    /// takes a midpoint key instead of forcing a renumbering rebuild.
-    uint64_t Key = 0;
-    uint64_t SubtreeEndKey = 0; ///< Key of the subtree's last op (loops).
+    uint32_t SubtreeEnd = 0; ///< Position of the subtree's last op (loops).
     uint32_t Depth = 0;
     bool Alive = false;
   };
 
-  std::vector<OpNode> Nodes; ///< Slot-indexed; slot order == program order.
+  std::vector<OpNode> Nodes; ///< Slot-indexed; built in program order.
+  /// Slot -> dense program (pre)order position, kept apart from Nodes for
+  /// the sorted-list searches. Equals the slot until a hoist moves ops,
+  /// after which renumber re-derives it from the blocks.
+  std::vector<uint32_t> PosOf;
+  std::vector<uint32_t> SlotAt; ///< Position -> slot.
   /// Op id -> slot (ids are unique and dense per module at this stage, so
   /// a vector beats hashing every lookup; InvalidSlot = not in the graph).
   std::vector<uint32_t> SlotById;
@@ -209,21 +227,25 @@ struct GraphScratch {
   std::vector<TensorId> RootsA, RootsB;           ///< collectRoots buffers.
   std::vector<uint32_t> SubstUsers;               ///< substituteTensor copy.
   std::vector<TensorId> SubstRoots;               ///< Affected-root union.
-  std::vector<uint32_t> UserScratch;              ///< Sorted-unique users.
-  std::vector<uint32_t> UserSnapshot;             ///< Stable iteration copy.
   std::vector<EventRef> PrecondScratch;           ///< Splice rebuild buffer.
+  /// Queued (pattern, slot) pairs carried across a renumbering.
+  std::vector<std::pair<unsigned, uint32_t>> Requeue;
   /// Launch-boundary copies grouped by their fresh tensor, ascending id.
   /// Built once per graph: the copies' identities never change, only their
   /// aliveness and slices, which the forwarding scan re-checks per call.
   struct BoundaryGroup {
     TensorId Tensor = InvalidTensorId;
-    std::vector<uint32_t> Slots;
+    uint32_t Begin = 0, End = 0; ///< Member range in BoundarySlots.
     /// Eligibility cache: recomputed only when Dirty (a member copy was
     /// mutated or died); the forwarding scan otherwise reads the flag.
     bool Dirty = true;
     bool Eligible = false;
   };
   std::vector<BoundaryGroup> BoundaryGroups;
+  /// (fresh tensor, slot) per boundary copy, grouped by tensor after build.
+  std::vector<std::pair<TensorId, uint32_t>> BoundarySlots;
+  /// Fresh tensor id -> index of its boundary group (InvalidSlot: none).
+  std::vector<uint32_t> GroupOf;
   SlotWorklist Work[5];                           ///< One per op pattern.
   std::vector<uint8_t> LoopDirty;                 ///< By slot: loop needs a
                                                   ///< spill-hoist re-check.
@@ -236,6 +258,7 @@ struct GraphScratch {
   /// First boundary group that could currently be eligible; groups before
   /// it are clean and ineligible.
   size_t BoundaryCursor = 0;
+  std::vector<uint8_t> LiveTensors, LiveParts; ///< Dead-decl cleanup marks.
 
   void clearLists(std::vector<std::vector<uint32_t>> &Lists, size_t Count) {
     if (Lists.size() < Count)
@@ -291,10 +314,11 @@ public:
       if (!Changed)
         break;
     }
-    sweepDead(Module.root());
+    std::optional<Diagnostic> NoneErr = sweep();
     cypress::repairEventScopes(Module);
-    removeDeadDecls();
-    return checkNoneConstraint();
+    if (NoneErr)
+      return *NoneErr;
+    return ErrorOrVoid::success();
   }
 
 private:
@@ -309,12 +333,20 @@ private:
     NumPatterns,
   };
 
+  /// The patterns that erase their anchor: their match also depends on
+  /// whether the anchor's event can be rewired (eraseOp), which changes
+  /// with the anchor's preconditions and its event's users.
+  static constexpr uint8_t EraseBits =
+      (1u << PatSelfCopy) | (1u << PatRedStore) | (1u << PatDeadCopy);
+
   using OpNode = GraphScratch::OpNode;
 
   //===--- Graph construction ---------------------------------------------===//
 
-  void build(bool SeedAll = true) {
+  void build() {
     S.Nodes.clear();
+    S.PosOf.clear();
+    S.SlotAt.clear();
     S.SlotById.clear();
     S.clearLists(S.EventUsers, Module.numEvents());
     if (S.EventProducer.size() < Module.numEvents())
@@ -323,35 +355,29 @@ private:
     S.clearLists(S.TensorUsers, Module.tensors().size());
     S.clearLists(S.TensorCopyUsers, Module.tensors().size());
     S.ReadCount.assign(Module.tensors().size(), 0);
-    S.BoundaryGroups.clear();
+    S.BoundarySlots.clear();
     buildBlock(Module.root(), InvalidSlot, 0);
-    std::sort(S.BoundaryGroups.begin(), S.BoundaryGroups.end(),
-              [](const auto &A, const auto &B) {
-                return A.Tensor < B.Tensor;
-              });
+    buildBoundaryGroups();
     S.LoopDirty.assign(S.Nodes.size(), 1);
     S.SeedMask.assign(S.Nodes.size(), 0);
-    for (uint32_t Slot = 0, E = S.Nodes.size(); Slot != E; ++Slot)
-      recomputeSeedMask(Slot);
-    S.BoundaryCursor = 0;
     S.ForLoopSlots.clear();
-    for (uint32_t Slot = 0, E = S.Nodes.size(); Slot != E; ++Slot)
-      if (S.Nodes[Slot].Op->Kind == OpKind::For)
-        S.ForLoopSlots.push_back(Slot);
     for (SlotWorklist &WL : Work)
       WL.reset(S.Nodes.size());
-    if (SeedAll)
-      for (uint32_t Slot = 0, E = S.Nodes.size(); Slot != E; ++Slot)
-        seedSlot(Slot);
+    for (uint32_t Slot = 0, E = S.Nodes.size(); Slot != E; ++Slot) {
+      recomputeSeedMask(Slot);
+      seedAll(Slot);
+      if (S.Nodes[Slot].Op->Kind == OpKind::For)
+        S.ForLoopSlots.push_back(Slot);
+    }
   }
 
   void buildBlock(IRBlock &Block, uint32_t Parent, unsigned Depth) {
     for (std::unique_ptr<Operation> &OpPtr : Block.Ops) {
       Operation *Op = OpPtr.get();
       uint32_t Slot = static_cast<uint32_t>(S.Nodes.size());
-      // Initial keys leave a 2^20 gap per op for midpoint insertion.
-      uint64_t Key = (static_cast<uint64_t>(Slot) + 1) << 20;
-      S.Nodes.push_back({Op, &Block, Parent, Key, Key, Depth, true});
+      S.Nodes.push_back({Op, &Block, Parent, Slot, Depth, true});
+      S.PosOf.push_back(Slot);
+      S.SlotAt.push_back(Slot);
       if (Op->Id >= S.SlotById.size())
         S.SlotById.resize(Op->Id + 1, InvalidSlot);
       assert(S.SlotById[Op->Id] == InvalidSlot &&
@@ -365,23 +391,31 @@ private:
       adjustReadCounts(*Op, +1);
       if (Op->Kind == OpKind::Copy && Op->LaunchBoundary &&
           Op->BoundaryTensor != InvalidTensorId)
-        boundaryGroup(Op->BoundaryTensor).push_back(Slot);
+        S.BoundarySlots.emplace_back(Op->BoundaryTensor, Slot);
       if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor) {
         if (Op->Body.Yield)
           addEventUser(Op->Body.Yield->Event, Slot);
         buildBlock(Op->Body, Slot, Depth + 1);
-        S.Nodes[Slot].SubtreeEndKey = S.Nodes.back().Key;
+        S.Nodes[Slot].SubtreeEnd = static_cast<uint32_t>(S.Nodes.size()) - 1;
       }
     }
   }
 
-  std::vector<uint32_t> &boundaryGroup(TensorId Tensor) {
-    for (auto &Group : S.BoundaryGroups)
-      if (Group.Tensor == Tensor)
-        return Group.Slots;
-    S.BoundaryGroups.emplace_back();
-    S.BoundaryGroups.back().Tensor = Tensor;
-    return S.BoundaryGroups.back().Slots;
+  /// Groups the boundary copies by fresh tensor, ascending tensor id (slot
+  /// order within a group).
+  void buildBoundaryGroups() {
+    std::sort(S.BoundarySlots.begin(), S.BoundarySlots.end());
+    S.BoundaryGroups.clear();
+    S.GroupOf.assign(Module.tensors().size(), InvalidSlot);
+    for (uint32_t I = 0, E = S.BoundarySlots.size(); I != E; ++I) {
+      TensorId T = S.BoundarySlots[I].first;
+      if (S.BoundaryGroups.empty() || S.BoundaryGroups.back().Tensor != T) {
+        S.GroupOf[T] = static_cast<uint32_t>(S.BoundaryGroups.size());
+        S.BoundaryGroups.push_back({T, I, I, true, false});
+      }
+      S.BoundaryGroups.back().End = I + 1;
+    }
+    S.BoundaryCursor = 0;
   }
 
   /// Marks every loop enclosing \p Slot for spill-hoist re-examination.
@@ -393,69 +427,45 @@ private:
       S.LoopDirty[P] = 1;
   }
 
-  /// Rebuilds everything after a structural move (spill hoisting). Hoists
-  /// are rare (at most a handful per kernel), so the O(module) rebuild is
-  /// cheaper than maintaining ordering keys through block splices. Does
-  /// not seed: performHoist restores queued anchors and seeds its own
-  /// blast radius.
-  void rebuildAfterStructuralChange() {
-    // Dead ops stay physically present until the final sweep; preserve
-    // their marks across the rebuild.
-    std::vector<const Operation *> Dead;
-    for (const OpNode &Node : S.Nodes)
-      if (!Node.Alive)
-        Dead.push_back(Node.Op);
-    build(/*SeedAll=*/false);
-    for (const Operation *Op : Dead) {
-      uint32_t Slot = slotOf(Op);
-      if (Slot != InvalidSlot)
-        markDeadNoSeed(Slot);
+  /// Re-derives every op's program position from the blocks after a hoist
+  /// moved ops between them. Relative order of the unmoved ops is
+  /// unchanged, so the sorted toucher lists stay sorted (the moved ops
+  /// left them before the move); queued anchors follow their slots.
+  void renumber() {
+    S.Requeue.clear();
+    for (unsigned P = 0; P < NumPatterns; ++P)
+      while (!Work[P].empty())
+        S.Requeue.emplace_back(P, S.SlotAt[Work[P].pop()]);
+    uint32_t Next = 0;
+    renumberBlock(Module.root(), Next);
+    for (const auto &[P, Slot] : S.Requeue)
+      Work[P].set(keyOf(Slot));
+  }
+
+  void renumberBlock(IRBlock &Block, uint32_t &Next) {
+    for (std::unique_ptr<Operation> &Op : Block.Ops) {
+      uint32_t Slot = slotOf(Op.get());
+      S.PosOf[Slot] = Next;
+      S.SlotAt[Next++] = Slot;
+      if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor) {
+        renumberBlock(Op->Body, Next);
+        S.Nodes[Slot].SubtreeEnd = Next - 1;
+      }
     }
   }
 
   bool alive(uint32_t Slot) const { return S.Nodes[Slot].Alive; }
   Operation &op(uint32_t Slot) const { return *S.Nodes[Slot].Op; }
-  uint64_t keyOf(uint32_t Slot) const { return S.Nodes[Slot].Key; }
+  uint32_t keyOf(uint32_t Slot) const { return S.PosOf[Slot]; }
 
-  /// Iterator to the first entry of a key-sorted slot list strictly after
-  /// \p Slot in program order.
+  /// Iterator to the first entry of a position-sorted slot list strictly
+  /// after \p Slot in program order.
   std::vector<uint32_t>::const_iterator
   firstAfter(const std::vector<uint32_t> &Users, uint32_t Slot) const {
     return std::upper_bound(Users.begin(), Users.end(), keyOf(Slot),
-                            [this](uint64_t Key, uint32_t User) {
+                            [this](uint32_t Key, uint32_t User) {
                               return Key < keyOf(User);
                             });
-  }
-
-  static bool heapAfter(const std::pair<uint64_t, uint32_t> &A,
-                        const std::pair<uint64_t, uint32_t> &B) {
-    return A.first > B.first;
-  }
-
-  void wlPush(SlotWorklist &WL, uint32_t Slot) {
-    if (WL.Queued[Slot])
-      return;
-    WL.Queued[Slot] = 1;
-    WL.Heap.emplace_back(keyOf(Slot), Slot);
-    std::push_heap(WL.Heap.begin(), WL.Heap.end(), heapAfter);
-  }
-
-  uint32_t wlPop(SlotWorklist &WL) {
-    std::pop_heap(WL.Heap.begin(), WL.Heap.end(), heapAfter);
-    uint32_t Slot = WL.Heap.back().second;
-    WL.Heap.pop_back();
-    WL.Queued[Slot] = 0;
-    return Slot;
-  }
-
-  /// Re-establishes every worklist's heap order after keys changed,
-  /// refreshing the keys embedded in the entries.
-  void reheapWorklists() {
-    for (SlotWorklist &WL : Work) {
-      for (std::pair<uint64_t, uint32_t> &Entry : WL.Heap)
-        Entry.first = keyOf(Entry.second);
-      std::make_heap(WL.Heap.begin(), WL.Heap.end(), heapAfter);
-    }
   }
 
   void addEventUser(EventId Event, uint32_t Slot) {
@@ -463,8 +473,9 @@ private:
       return;
     // Bounded dedup window: a splice re-registers one user's refs back to
     // back, so recent duplicates are the common case; rare older ones
-    // survive as hints and fall to sortedUsers' unique pass. A full scan
-    // here would make splicing quadratic in a hot event's user count.
+    // survive as hints, which rewiring visits harmlessly twice (the second
+    // visit finds no reference left). A full scan here would make
+    // splicing quadratic in a hot event's user count.
     std::vector<uint32_t> &Users = S.EventUsers[Event];
     size_t Window = Users.size() < 4 ? Users.size() : 4;
     for (size_t I = Users.size() - Window; I < Users.size(); ++I)
@@ -473,37 +484,20 @@ private:
     Users.push_back(Slot);
   }
 
-  /// Fills the pooled snapshot with the alive slots currently referencing
-  /// \p Event, sorted by program order and deduplicated (the raw lists are
-  /// insertion-ordered hints). A snapshot is required: the callers mutate
-  /// the underlying user lists while iterating.
-  std::vector<uint32_t> &sortedUsers(EventId Event) {
-    S.UserSnapshot.clear();
-    for (uint32_t Slot : S.EventUsers[Event])
-      if (alive(Slot))
-        S.UserSnapshot.push_back(Slot);
-    std::sort(S.UserSnapshot.begin(), S.UserSnapshot.end(),
-              [this](uint32_t A, uint32_t B) { return keyOf(A) < keyOf(B); });
-    S.UserSnapshot.erase(
-        std::unique(S.UserSnapshot.begin(), S.UserSnapshot.end()),
-        S.UserSnapshot.end());
-    return S.UserSnapshot;
-  }
-
-  void insertUser(std::vector<uint32_t> &Users, uint32_t Slot, uint64_t Key) {
+  void insertUser(std::vector<uint32_t> &Users, uint32_t Slot, uint32_t Key) {
     if (Users.empty() || keyOf(Users.back()) < Key) // Build appends.
       Users.push_back(Slot);
     else
       Users.insert(std::upper_bound(Users.begin(), Users.end(), Key,
-                                    [this](uint64_t K, uint32_t User) {
+                                    [this](uint32_t K, uint32_t User) {
                                       return K < keyOf(User);
                                     }),
                    Slot);
   }
 
-  void eraseUser(std::vector<uint32_t> &Users, uint32_t Slot, uint64_t Key) {
+  void eraseUser(std::vector<uint32_t> &Users, uint32_t Slot, uint32_t Key) {
     auto It = std::lower_bound(Users.begin(), Users.end(), Key,
-                               [this](uint32_t User, uint64_t K) {
+                               [this](uint32_t User, uint32_t K) {
                                  return keyOf(User) < K;
                                });
     if (It != Users.end() && *It == Slot)
@@ -513,7 +507,7 @@ private:
   void addTouches(uint32_t Slot) {
     Operation &Op = op(Slot);
     collectRoots(Op, S.RootsA);
-    uint64_t Key = keyOf(Slot);
+    uint32_t Key = keyOf(Slot);
     bool IsCopy = Op.Kind == OpKind::Copy;
     for (TensorId T : S.RootsA) {
       insertUser(S.TensorUsers[T], Slot, Key);
@@ -525,7 +519,7 @@ private:
   void removeTouches(uint32_t Slot) {
     Operation &Op = op(Slot);
     collectRoots(Op, S.RootsA);
-    uint64_t Key = keyOf(Slot);
+    uint32_t Key = keyOf(Slot);
     bool IsCopy = Op.Kind == OpKind::Copy;
     for (TensorId T : S.RootsA) {
       eraseUser(S.TensorUsers[T], Slot, Key);
@@ -576,18 +570,42 @@ private:
     S.SeedMask[Slot] = Mask;
   }
 
-  void seedSlot(uint32_t Slot) {
-    uint8_t Mask = S.SeedMask[Slot];
+  /// Queues \p Slot on the worklists in \p Bits that its mask allows.
+  void seed(uint32_t Slot, uint8_t Bits) {
+    uint8_t Mask = S.SeedMask[Slot] & Bits;
     if (!Mask)
       return;
+    uint32_t Pos = keyOf(Slot);
     for (unsigned P = 0; P < NumPatterns; ++P)
       if (Mask & (1u << P))
-        wlPush(Work[P], Slot);
+        Work[P].set(Pos);
   }
 
-  void seedTensor(TensorId T) {
-    for (uint32_t Slot : S.TensorCopyUsers[T])
-      seedSlot(Slot);
+  /// The op's own slices changed (or it is new to the graph): every
+  /// pattern it qualifies for must look at it again.
+  void seedAll(uint32_t Slot) { seed(Slot, 0xff); }
+
+  /// Re-seeds the copies whose match reads tensor \p T's touchers, after a
+  /// toucher at position \p Pos changed (its slices or its liveness). The
+  /// forward-scanning patterns only see touchers after their anchor, so
+  /// copy propagation, duplicate and redundant-store anchors before Pos
+  /// are affected; copy propagation and redundant stores scan their
+  /// destination root only. Dead-copy anchors read the destination's read
+  /// count, which only ever needs a look once it is zero.
+  void seedTouchers(TensorId T, uint32_t Pos) {
+    bool Unread = S.ReadCount[T] == 0;
+    for (uint32_t Slot : S.TensorCopyUsers[T]) {
+      bool Before = keyOf(Slot) < Pos;
+      bool DstHere = op(Slot).CopyDst.Tensor == T;
+      uint8_t Bits = 0;
+      if (Before)
+        Bits |= 1u << PatDup;
+      if (DstHere && Before)
+        Bits |= (1u << PatCopyProp) | (1u << PatRedStore);
+      if (DstHere && Unread)
+        Bits |= 1u << PatDeadCopy;
+      seed(Slot, Bits);
+    }
   }
 
   void seedProducer(EventId Event) {
@@ -595,7 +613,7 @@ private:
       return;
     uint32_t Slot = S.EventProducer[Event];
     if (Slot != InvalidSlot)
-      seedSlot(Slot);
+      seed(Slot, EraseBits);
   }
 
   /// Re-seeds the producers of every event \p Op references: their erase
@@ -606,9 +624,8 @@ private:
   }
 
   /// Applies a slice mutation to an alive op, keeping toucher lists, read
-  /// counts, and worklists consistent. Everything touching an old or new
-  /// root is re-seeded: those toucher lists are exactly the state the
-  /// patterns' forward scans read.
+  /// counts, and worklists consistent: the op itself and the anchors that
+  /// read its old or new roots' touchers are re-seeded.
   template <typename Fn> void mutateSlices(uint32_t Slot, Fn &&Mutate) {
     Operation &Op = op(Slot);
     removeTouches(Slot);
@@ -623,14 +640,16 @@ private:
       if (std::find(S.RootsB.begin(), S.RootsB.end(), T) == S.RootsB.end())
         S.RootsB.push_back(T);
     recomputeSeedMask(Slot);
+    seedAll(Slot);
     for (TensorId T : S.RootsB)
-      seedTensor(T);
+      seedTouchers(T, keyOf(Slot));
     dirtyBoundaryGroup(Op);
     markDirtyLoops(Slot);
   }
 
-  void markDeadNoSeed(uint32_t Slot) {
+  void markDead(uint32_t Slot) {
     Operation &Op = op(Slot);
+    markDirtyLoops(Slot);
     removeTouches(Slot);
     adjustReadCounts(Op, -1);
     S.Nodes[Slot].Alive = false;
@@ -638,15 +657,8 @@ private:
     if (Op.Result != InvalidEventId)
       S.EventProducer[Op.Result] = InvalidSlot;
     dirtyBoundaryGroup(Op);
-  }
-
-  void markDead(uint32_t Slot) {
-    Operation &Op = op(Slot);
-    markDirtyLoops(Slot);
-    markDeadNoSeed(Slot); // Uses RootsA; RootsB below survives it.
-    collectRoots(Op, S.RootsB);
-    for (TensorId T : S.RootsB)
-      seedTensor(T);
+    for (TensorId T : S.RootsA) // The roots removeTouches collected.
+      seedTouchers(T, keyOf(Slot));
     // A dead user stops blocking precondition splices of the events it
     // referenced; their producers may have become erasable.
     seedReferencedProducers(Op);
@@ -669,12 +681,32 @@ private:
       ++Counters->Rewrites;
   }
 
+  /// Pops the next queued anchor of \p Pattern in program order, or
+  /// InvalidSlot once the worklist is drained. Dead anchors are skipped.
+  uint32_t nextAnchor(Pattern P) {
+    SlotWorklist &WL = Work[P];
+    while (!WL.empty()) {
+      uint32_t Slot = S.SlotAt[WL.pop()];
+      bumpPop();
+      if (alive(Slot))
+        return Slot;
+    }
+    return InvalidSlot;
+  }
+
   //===--- Event rewiring helpers ----------------------------------------===//
 
   /// Renames event \p From to \p To in every reference (indices preserved).
+  /// Each user's rewrite is independent of the others, so users are
+  /// visited in hint-list order. Rewiring only appends to other events'
+  /// lists (an op never references its own event), so From's list is
+  /// stable while it is walked.
   void renameEvent(EventId From, EventId To) {
-    const std::vector<uint32_t> &Users = sortedUsers(From);
-    for (uint32_t Slot : Users) {
+    const std::vector<uint32_t> &Users = S.EventUsers[From];
+    for (size_t I = 0; I < Users.size(); ++I) {
+      uint32_t Slot = Users[I];
+      if (!alive(Slot))
+        continue;
       Operation &Op = op(Slot);
       bool Changed = false;
       for (EventRef &Ref : Op.Preconds)
@@ -689,11 +721,7 @@ private:
       }
       if (Changed) {
         addEventUser(To, Slot);
-        seedSlot(Slot);
-        seedReferencedProducers(Op);
-        markDirtyLoops(Slot);
-        if (Op.Kind == OpKind::For || Op.Kind == OpKind::PFor)
-          S.LoopDirty[Slot] = 1;
+        preconditionsChanged(Slot);
       }
     }
     S.EventUsers[From].clear();
@@ -701,41 +729,79 @@ private:
     seedProducer(To);
   }
 
+  /// Bookkeeping after \p Slot's preconditions or yield changed: its own
+  /// erase legality and its referenced producers' may have moved, and a
+  /// loop's hoist match reads its body's event wiring.
+  void preconditionsChanged(uint32_t Slot) {
+    Operation &Op = op(Slot);
+    seed(Slot, EraseBits);
+    seedReferencedProducers(Op);
+    markDirtyLoops(Slot);
+    if (Op.Kind == OpKind::For || Op.Kind == OpKind::PFor)
+      S.LoopDirty[Slot] = 1;
+  }
+
   /// Replaces references to \p From with the op's precondition refs,
   /// converting point-wise processor indices to match the user's indexing
   /// (a broadcast user of a flattened event must keep waiting on all
-  /// instances of the producer's preconditions). Mirrors the historical
-  /// walk exactly, including its failure behavior: users visited before a
-  /// non-adjustable reference keep their spliced preconditions.
+  /// instances of the producer's preconditions). Each reference is
+  /// replaced in place, so the user's other references keep their order
+  /// and storage. Fails when a reference cannot be adjusted: users visited
+  /// before it keep their spliced preconditions, the failing user keeps
+  /// its own.
   bool spliceEvent(EventId From, const std::vector<EventRef> &Preconds) {
     const EventType &FromType = Module.event(From).Type;
-    const std::vector<uint32_t> &Users = sortedUsers(From);
-    std::vector<EventRef> &NewPreconds = S.PrecondScratch; // Capacity pools.
-    for (uint32_t Slot : Users) {
+    const std::vector<uint32_t> &Users = S.EventUsers[From]; // As rename.
+    std::vector<EventRef> &Spliced = S.PrecondScratch; // Capacity pools.
+    for (size_t UserIdx = 0; UserIdx < Users.size(); ++UserIdx) {
+      uint32_t Slot = Users[UserIdx];
+      if (!alive(Slot))
+        continue;
       Operation &Op = op(Slot);
-      NewPreconds.clear();
-      for (EventRef &Ref : Op.Preconds) {
-        if (Ref.Event != From) {
-          NewPreconds.push_back(std::move(Ref));
+      bool IsLoop = Op.Kind == OpKind::For || Op.Kind == OpKind::PFor;
+      bool Yields = IsLoop && Op.Body.Yield && Op.Body.Yield->Event == From;
+      size_t Refs = static_cast<size_t>(
+          std::count_if(Op.Preconds.begin(), Op.Preconds.end(),
+                        [From](const EventRef &R) { return R.Event == From; }));
+      if (!Refs && !Yields)
+        continue; // A stale hint, or a user already rewired.
+      // Adjust every replacement before touching the user, so a failure
+      // leaves it as it was. The producer stays in place and is re-seeded
+      // when one of its users changes (seedReferencedProducers).
+      Spliced.clear();
+      for (const EventRef &Ref : Op.Preconds) {
+        if (Ref.Event != From)
           continue;
-        }
         for (const EventRef &P : Preconds) {
-          std::optional<EventRef> Adjusted = adjustSpliced(P, Ref, FromType);
-          if (!Adjusted) {
-            // Users already processed no longer reference From, so the
-            // producer's erase attempt may succeed once state changes;
-            // leave it queued for retry.
-            seedProducer(From);
+          Spliced.emplace_back();
+          if (!adjustSpliced(P, Ref, FromType, Spliced.back()))
             return false;
-          }
-          NewPreconds.push_back(std::move(*Adjusted));
         }
       }
-      Op.Preconds.swap(NewPreconds);
-      for (const EventRef &Ref : Op.Preconds)
-        addEventUser(Ref.Event, Slot);
-      if ((Op.Kind == OpKind::For || Op.Kind == OpKind::PFor) &&
-          Op.Body.Yield && Op.Body.Yield->Event == From) {
+      auto Adjusted = std::make_move_iterator(Spliced.begin());
+      for (size_t I = 0; I < Op.Preconds.size(); ++I) {
+        if (Op.Preconds[I].Event != From)
+          continue;
+        auto At = Op.Preconds.begin() + static_cast<long>(I);
+        if (Preconds.empty()) {
+          Op.Preconds.erase(At);
+          --I;
+          continue;
+        }
+        *At = *Adjusted++;
+        Op.Preconds.insert(At + 1, Adjusted,
+                           Adjusted + static_cast<long>(Preconds.size() - 1));
+        Adjusted += static_cast<long>(Preconds.size() - 1);
+        I += Preconds.size() - 1;
+      }
+      if (Refs)
+        for (const EventRef &P : Preconds) {
+          addEventUser(P.Event, Slot);
+          // The spliced-in events gained a user: their producers' erase
+          // legality moved.
+          seedProducer(P.Event);
+        }
+      if (Yields) {
         // A yield cannot expand to multiple events; retarget to the single
         // precondition if there is one, else drop the yield.
         if (Preconds.size() == 1 && Preconds[0].Indices.empty()) {
@@ -745,24 +811,23 @@ private:
           Op.Body.Yield.reset();
         }
       }
-      seedSlot(Slot);
-      seedReferencedProducers(Op);
+      seed(Slot, EraseBits);
       markDirtyLoops(Slot);
-      if (Op.Kind == OpKind::For || Op.Kind == OpKind::PFor)
+      if (IsLoop)
         S.LoopDirty[Slot] = 1;
     }
     S.EventUsers[From].clear();
     return true;
   }
 
-  /// Adjusts a spliced precondition \p P for a user that referenced the
-  /// erased event as \p User. Point-wise processor indices in P that match
-  /// a dimension of the erased event's type take the user's index for that
-  /// dimension (turning into broadcasts when the user broadcast).
-  std::optional<EventRef> adjustSpliced(const EventRef &P,
-                                        const EventRef &User,
-                                        const EventType &FromType) {
-    EventRef Result = P;
+  /// Writes into \p Result the spliced precondition \p P adjusted for a
+  /// user that referenced the erased event as \p User; false when it cannot
+  /// be adjusted. Point-wise processor indices in P that match a dimension
+  /// of the erased event's type take the user's index for that dimension
+  /// (turning into broadcasts when the user broadcast).
+  static bool adjustSpliced(const EventRef &P, const EventRef &User,
+                            const EventType &FromType, EventRef &Result) {
+    Result = P;
     Result.IterLag = P.IterLag + User.IterLag;
     for (EventIndex &Index : Result.Indices) {
       if (Index.isBroadcast())
@@ -782,13 +847,15 @@ private:
         }
       }
       if (!Matched)
-        return std::nullopt; // Complex proc expression: bail out.
+        return false; // Complex proc expression: bail out.
     }
-    return Result;
+    return true;
   }
 
   /// Erases the op at \p Slot (must not be a loop), rewiring its event.
   /// Returns false (leaving the op in place) when rewiring is not legal.
+  /// Rename and splice retarget every reference to the erased event
+  /// (yields included), so no reference to it survives.
   bool eraseOp(uint32_t Slot) {
     Operation &Op = op(Slot);
     assert(Op.Kind != OpKind::For && Op.Kind != OpKind::PFor &&
@@ -804,43 +871,16 @@ private:
       } else if (!spliceEvent(Op.Result, Op.Preconds)) {
         return false;
       }
-      // Yields referencing the erased event: repoint to the previous event
-      // producer in the same block (the loop completes when its last
-      // remaining operation does). Rename/splice already retargeted every
-      // reachable reference, so this only catches stragglers.
-      fixYields(Op.Result);
     }
     markDead(Slot);
     return true;
   }
 
-  bool allPointwise(const EventRef &Ref) {
+  static bool allPointwise(const EventRef &Ref) {
     for (const EventIndex &Index : Ref.Indices)
       if (Index.isBroadcast())
         return false;
     return true;
-  }
-
-  void fixYields(EventId Erased) {
-    const std::vector<uint32_t> &Users = sortedUsers(Erased);
-    for (uint32_t Slot : Users) {
-      Operation &Op = op(Slot);
-      if (Op.Kind != OpKind::For && Op.Kind != OpKind::PFor)
-        continue;
-      if (!Op.Body.Yield || Op.Body.Yield->Event != Erased)
-        continue;
-      Op.Body.Yield.reset();
-      for (auto It = Op.Body.Ops.rbegin(); It != Op.Body.Ops.rend(); ++It) {
-        if (!opAlive(It->get()))
-          continue;
-        if ((*It)->Result != InvalidEventId && (*It)->Result != Erased) {
-          Op.Body.Yield = EventRef::unit((*It)->Result);
-          addEventUser((*It)->Result, Slot);
-          S.LoopDirty[Slot] = 1;
-          break;
-        }
-      }
-    }
   }
 
   //===--- Pattern: copy propagation --------------------------------------===//
@@ -848,12 +888,7 @@ private:
   /// copy(X -> P) ... copy(P -> Y) with equivalent P slices and no
   /// intervening write to P's root: the consumer reads X directly.
   bool copyPropagation() {
-    SlotWorklist &WL = Work[PatCopyProp];
-    while (!WL.empty()) {
-      uint32_t Slot = wlPop(WL);
-      bumpPop();
-      if (!alive(Slot))
-        continue;
+    for (uint32_t Slot; (Slot = nextAnchor(PatCopyProp)) != InvalidSlot;) {
       if (tryCopyPropagationAt(Slot)) {
         bumpRewrite();
         return true;
@@ -967,8 +1002,9 @@ private:
     if (T.IsEntryArg)
       return nullptr;
     Operation *In = nullptr, *Out = nullptr;
-    uint64_t InKey = 0, OutKey = 0;
-    for (uint32_t Slot : Group.Slots) {
+    uint32_t InKey = 0, OutKey = 0;
+    for (uint32_t I = Group.Begin; I != Group.End; ++I) {
+      uint32_t Slot = S.BoundarySlots[I].second;
       if (!alive(Slot))
         continue;
       Operation &Op = op(Slot);
@@ -1009,25 +1045,19 @@ private:
     if (Op.Kind != OpKind::Copy || !Op.LaunchBoundary ||
         Op.BoundaryTensor == InvalidTensorId)
       return;
-    auto It = std::lower_bound(
-        S.BoundaryGroups.begin(), S.BoundaryGroups.end(), Op.BoundaryTensor,
-        [](const GraphScratch::BoundaryGroup &G, TensorId T) {
-          return G.Tensor < T;
-        });
-    if (It != S.BoundaryGroups.end() && It->Tensor == Op.BoundaryTensor) {
-      It->Dirty = true;
-      size_t Index = static_cast<size_t>(It - S.BoundaryGroups.begin());
-      if (Index < S.BoundaryCursor)
-        S.BoundaryCursor = Index;
-    }
+    uint32_t Index = S.GroupOf[Op.BoundaryTensor];
+    S.BoundaryGroups[Index].Dirty = true;
+    if (Index < S.BoundaryCursor)
+      S.BoundaryCursor = Index;
   }
 
   /// Replaces every reference to whole-\p From (op slices and partition
-  /// bases) with \p To, rebasing partitions rooted at From. Seeding is
+  /// bases) with \p To, rebasing partitions rooted at From. Every alive
+  /// toucher of From is rewritten, so From's toucher lists and read count
+  /// move to To wholesale (a sorted merge) instead of per op. Seeding is
   /// batched: per-op seeding would rescan the shared roots' toucher lists
-  /// once per rewritten user (the forwarding profile's dominant cost), and
-  /// the queued-flag dedup makes one final sweep over the union of
-  /// affected roots produce the identical worklist contents.
+  /// once per rewritten user, so one final sweep over the union of
+  /// affected roots seeds the anchors before the last rewritten user.
   void substituteTensor(TensorId From, const TensorSlice &To) {
     for (IRPartition &P : Module.partitions()) {
       if (P.Base.Tensor != From)
@@ -1037,25 +1067,16 @@ private:
       else
         P.Base.Tensor = To.Tensor; // Chain root updates below.
     }
-    std::vector<uint32_t> &Users = S.SubstUsers; // Copy: mutation edits the
-    Users = S.TensorUsers[From];                 // list. Capacity pools.
     std::vector<TensorId> &Affected = S.SubstRoots;
-    Affected.clear();
-    auto NoteRoot = [&Affected](TensorId T) {
-      for (TensorId Have : Affected)
-        if (Have == T)
-          return;
-      Affected.push_back(T);
-    };
-    for (uint32_t Slot : Users) {
-      if (!alive(Slot))
-        continue;
+    Affected.assign(1, To.Tensor);
+    uint32_t LastPos = 0;
+    for (uint32_t Slot : S.TensorUsers[From]) {
+      LastPos = keyOf(Slot); // The list is sorted and holds alive ops.
       Operation &Op = op(Slot);
-      removeTouches(Slot);
-      adjustReadCounts(Op, -1);
-      collectRoots(Op, S.RootsB); // Old roots.
-      for (TensorId T : S.RootsB)
-        NoteRoot(T);
+      collectRoots(Op, S.RootsA);
+      for (TensorId T : S.RootsA)
+        if (std::find(Affected.begin(), Affected.end(), T) == Affected.end())
+          Affected.push_back(T);
       forEachSlice(Op, [&](TensorSlice &Slice) {
         if (Slice.Tensor != From)
           return;
@@ -1064,27 +1085,37 @@ private:
         else
           Slice.Tensor = To.Tensor;
       });
-      adjustReadCounts(Op, +1);
-      addTouches(Slot); // Uses RootsA = new roots.
-      for (TensorId T : S.RootsA)
-        NoteRoot(T);
       recomputeSeedMask(Slot);
+      seedAll(Slot);
       dirtyBoundaryGroup(Op);
       markDirtyLoops(Slot);
     }
+    moveUsers(S.TensorUsers[From], S.TensorUsers[To.Tensor]);
+    moveUsers(S.TensorCopyUsers[From], S.TensorCopyUsers[To.Tensor]);
+    S.ReadCount[To.Tensor] += S.ReadCount[From];
+    S.ReadCount[From] = 0;
     for (TensorId T : Affected)
-      seedTensor(T);
+      seedTouchers(T, LastPos);
+  }
+
+  /// Merges the position-sorted list \p From into \p Into (an op touching
+  /// both stays listed once) and empties From.
+  void moveUsers(std::vector<uint32_t> &From, std::vector<uint32_t> &Into) {
+    std::vector<uint32_t> &Merged = S.SubstUsers; // Capacity pools.
+    Merged.resize(From.size() + Into.size());
+    auto ByPos = [this](uint32_t A, uint32_t B) { return keyOf(A) < keyOf(B); };
+    Merged.erase(std::unique(Merged.begin(),
+                             std::merge(Into.begin(), Into.end(), From.begin(),
+                                        From.end(), Merged.begin(), ByPos)),
+                 Merged.end());
+    Into.swap(Merged);
+    From.clear();
   }
 
   //===--- Pattern: self-copy elimination (Figure 10d) ---------------------===//
 
   bool selfCopyElimination() {
-    SlotWorklist &WL = Work[PatSelfCopy];
-    while (!WL.empty()) {
-      uint32_t Slot = wlPop(WL);
-      bumpPop();
-      if (!alive(Slot))
-        continue;
+    for (uint32_t Slot; (Slot = nextAnchor(PatSelfCopy)) != InvalidSlot;) {
       Operation &Op = op(Slot);
       if (Op.Kind != OpKind::Copy)
         continue;
@@ -1101,12 +1132,7 @@ private:
   //===--- Pattern: duplicate elimination (Figure 10c) ---------------------===//
 
   bool duplicateElimination() {
-    SlotWorklist &WL = Work[PatDup];
-    while (!WL.empty()) {
-      uint32_t Slot = wlPop(WL);
-      bumpPop();
-      if (!alive(Slot))
-        continue;
+    for (uint32_t Slot; (Slot = nextAnchor(PatDup)) != InvalidSlot;) {
       if (tryDuplicateAt(Slot)) {
         bumpRewrite();
         return true;
@@ -1168,12 +1194,7 @@ private:
   /// launches in one loop iteration both copy their accumulator fragment
   /// back to the same unmaterialized parent piece.
   bool redundantStoreElimination() {
-    SlotWorklist &WL = Work[PatRedStore];
-    while (!WL.empty()) {
-      uint32_t Slot = wlPop(WL);
-      bumpPop();
-      if (!alive(Slot))
-        continue;
+    for (uint32_t Slot; (Slot = nextAnchor(PatRedStore)) != InvalidSlot;) {
       if (tryRedundantStoreAt(Slot)) {
         bumpRewrite();
         return true;
@@ -1221,7 +1242,7 @@ private:
   /// body hoist the allocation and both copies out of the loop, keeping the
   /// accumulator resident across iterations. Global pattern: loops are few
   /// and a hoist restructures blocks, so each call scans the loop slots
-  /// directly and a successful hoist rebuilds the graph.
+  /// directly and a successful hoist renumbers the program positions.
   bool spillHoisting() {
     for (uint32_t Slot : S.ForLoopSlots) {
       if (!alive(Slot) || !S.LoopDirty[Slot])
@@ -1274,13 +1295,13 @@ private:
         if (!sliceEquivalent(Module, Out.CopyDst, In.CopySrc))
           continue;
         // No other reference to the root slice inside the body (nested
-        // loops included): the loop's subtree is a contiguous slot range,
-        // so Root's toucher list answers this with one range scan.
+        // loops included): the loop's subtree is a contiguous position
+        // range, so Root's toucher list answers this with one range scan.
         bool Clean = true;
         const std::vector<uint32_t> &Touchers = S.TensorUsers[Root];
         for (auto It = firstAfter(Touchers, LoopSlot);
              It != Touchers.end() &&
-             keyOf(*It) <= S.Nodes[LoopSlot].SubtreeEndKey;
+             keyOf(*It) <= S.Nodes[LoopSlot].SubtreeEnd;
              ++It) {
           if (!alive(*It))
             continue;
@@ -1304,25 +1325,6 @@ private:
       if (Color.usesLoopVar(Var))
         return true;
     return Slice.BufferIndex.usesLoopVar(Var);
-  }
-
-  /// The key of the first op following \p LoopSlot's subtree in pre-order,
-  /// or SubtreeEndKey + a full initial gap when the subtree ends the
-  /// program. Walks the physical blocks (small) up the ancestor chain.
-  uint64_t nextPreorderKeyAfter(uint32_t LoopSlot) {
-    uint32_t Cur = LoopSlot;
-    while (Cur != InvalidSlot) {
-      IRBlock &Block = *S.Nodes[Cur].Block;
-      const Operation *CurOp = S.Nodes[Cur].Op;
-      for (size_t K = 0; K < Block.Ops.size(); ++K)
-        if (Block.Ops[K].get() == CurOp) {
-          if (K + 1 < Block.Ops.size())
-            return keyOf(slotOf(Block.Ops[K + 1].get()));
-          break;
-        }
-      Cur = S.Nodes[Cur].Parent;
-    }
-    return S.Nodes[LoopSlot].SubtreeEndKey + (1ull << 20);
   }
 
   void performHoist(uint32_t LoopSlot, Operation &Loop, size_t InIdx,
@@ -1352,26 +1354,8 @@ private:
     uint32_t InSlot = slotOf(Body.Ops[InIdx].get());
     uint32_t OutSlot = slotOf(Body.Ops[OutIdx].get());
 
-    // New program positions: In (and the Alloc) land just before the loop,
-    // Out just after its subtree. Midpoint keys keep every other op's
-    // order intact; when a gap has been exhausted (only after pathological
-    // hoist churn), fall back to a full renumbering rebuild below.
-    uint64_t LoopKey = keyOf(LoopSlot);
-    uint64_t LowKey = 0;
-    for (size_t K = 0; K < Parent.Ops.size(); ++K)
-      if (Parent.Ops[K].get() == &Loop) {
-        if (K > 0)
-          LowKey = keyOf(slotOf(Parent.Ops[K - 1].get()));
-        else if (S.Nodes[LoopSlot].Parent != InvalidSlot)
-          LowKey = keyOf(S.Nodes[LoopSlot].Parent);
-        break;
-      }
-    uint64_t OutLow = S.Nodes[LoopSlot].SubtreeEndKey;
-    uint64_t OutHigh = nextPreorderKeyAfter(LoopSlot);
-    bool KeysFit = LoopKey - LowKey >= 8 && OutHigh - OutLow >= 8;
-
-    // Moved copies leave their toucher lists while their old keys are
-    // still in place; they re-enter under the new keys.
+    // Moved copies leave their toucher lists while their old positions
+    // are still in place; they re-enter under the new ones.
     removeTouches(InSlot);
     removeTouches(OutSlot);
 
@@ -1437,56 +1421,36 @@ private:
                         std::move(Alloc));
     Parent.Ops.insert(Parent.Ops.begin() + static_cast<long>(At++),
                       std::move(In));
-    for (size_t K = 0; K < Parent.Ops.size(); ++K) {
-      if (Parent.Ops[K].get() == &Loop) {
-        Parent.Ops.insert(Parent.Ops.begin() + static_cast<long>(K + 1),
-                          std::move(Out));
-        break;
-      }
-    }
+    Parent.Ops.insert(Parent.Ops.begin() + static_cast<long>(At + 1),
+                      std::move(Out));
 
-    if (!KeysFit) {
-      // Exhausted key gaps: renumber everything and conservatively re-seed
-      // every anchor (rare).
-      rebuildAfterStructuralChange();
-      for (uint32_t Slot = 0, E = S.Nodes.size(); Slot != E; ++Slot)
-        seedSlot(Slot);
-      return;
-    }
-
-    // Rekey and relocate the moved ops in the graph.
-    auto Relocate = [&](uint32_t Slot, uint64_t Key) {
+    // Relocate the moved ops in the graph, then re-derive positions.
+    for (uint32_t Slot : {AllocSlot, InSlot, OutSlot}) {
+      if (Slot == InvalidSlot)
+        continue;
       OpNode &Node = S.Nodes[Slot];
-      Node.Key = Key;
       Node.Block = &Parent;
       Node.Parent = S.Nodes[LoopSlot].Parent;
       Node.Depth = S.Nodes[LoopSlot].Depth;
-    };
-    uint64_t InKey = LowKey + (LoopKey - LowKey) / 2;
-    if (AllocSlot != InvalidSlot)
-      Relocate(AllocSlot, LowKey + (LoopKey - LowKey) / 4);
-    Relocate(InSlot, InKey);
-    uint64_t OutKey = OutLow + (OutHigh - OutLow) / 2;
-    Relocate(OutSlot, OutKey);
-    // The copy-out now extends every enclosing subtree that used to end at
-    // this loop.
-    for (uint32_t A = S.Nodes[LoopSlot].Parent; A != InvalidSlot;
-         A = S.Nodes[A].Parent)
-      if (S.Nodes[A].SubtreeEndKey < OutKey)
-        S.Nodes[A].SubtreeEndKey = OutKey;
-
+    }
+    renumber();
     addTouches(InSlot);
     addTouches(OutSlot);
-    reheapWorklists();
 
     // Invalidation: the moved ops, everything sharing their tensors, the
-    // events they rewired, and the loop's spill-hoist dirtiness.
+    // events they rewired, and the loop's spill-hoist dirtiness. Positions
+    // and depths moved, so every affected anchor is re-seeded for every
+    // pattern.
     for (TensorId T : AffectedTensors)
-      seedTensor(T);
+      for (uint32_t Slot : S.TensorCopyUsers[T])
+        seedAll(Slot);
     for (EventId E : AffectedEvents) {
-      seedProducer(E);
+      if (E == InvalidEventId)
+        continue;
+      if (S.EventProducer[E] != InvalidSlot)
+        seedAll(S.EventProducer[E]);
       for (uint32_t Slot : S.EventUsers[E])
-        seedSlot(Slot);
+        seedAll(Slot);
     }
     dirtyBoundaryGroup(op(InSlot));
     dirtyBoundaryGroup(op(OutSlot));
@@ -1499,12 +1463,7 @@ private:
 
   /// Copies into tensors that are never read (and are not kernel outputs).
   bool deadCopyElimination() {
-    SlotWorklist &WL = Work[PatDeadCopy];
-    while (!WL.empty()) {
-      uint32_t Slot = wlPop(WL);
-      bumpPop();
-      if (!alive(Slot))
-        continue;
+    for (uint32_t Slot; (Slot = nextAnchor(PatDeadCopy)) != InvalidSlot;) {
       Operation &Op = op(Slot);
       if (Op.Kind != OpKind::Copy)
         continue;
@@ -1523,96 +1482,57 @@ private:
 
   //===--- Cleanup ----------------------------------------------------------===//
 
-  /// Physically removes ops marked dead during the fixpoint (erasure is
-  /// lazy so slot order stays stable), preserving the survivors' order.
-  void sweepDead(IRBlock &Block) {
+  /// Physically removes the ops marked dead during the fixpoint (erasure
+  /// is lazy so slot order stays stable) together with the allocations
+  /// and partitions no surviving op references, in one walk. Returns the
+  /// Section 3.3 post-condition's diagnostic: no tensor mapped to `none`
+  /// may survive in a copy or call (it would have to be materialized).
+  std::optional<Diagnostic> sweep() {
+    S.LiveTensors.assign(Module.tensors().size(), 0);
+    S.LiveParts.assign(Module.partitionsConst().size(), 0);
+    for (const OpNode &Node : S.Nodes)
+      if (Node.Alive)
+        forEachSlice(*Node.Op, [&](TensorSlice &Slice) {
+          S.LiveTensors[Slice.Tensor] = 1;
+          std::optional<PartitionId> Part = Slice.Part;
+          while (Part && !S.LiveParts[*Part]) {
+            S.LiveParts[*Part] = 1;
+            const IRPartition &P = Module.partition(*Part);
+            S.LiveTensors[P.Base.Tensor] = 1;
+            Part = P.Base.Part;
+          }
+        });
+    for (TensorId T : Module.entryArgs())
+      S.LiveTensors[T] = 1;
+    std::optional<Diagnostic> Err;
+    sweepBlock(Module.root(), Err);
+    return Err;
+  }
+
+  void sweepBlock(IRBlock &Block, std::optional<Diagnostic> &Err) {
     auto NewEnd = std::remove_if(
         Block.Ops.begin(), Block.Ops.end(),
         [&](const std::unique_ptr<Operation> &Op) {
+          if (Op->Kind == OpKind::Alloc)
+            return !S.LiveTensors[Op->AllocTensor];
+          if (Op->Kind == OpKind::MakePart)
+            return !S.LiveParts[Op->Part];
           uint32_t Slot = slotOf(Op.get());
           return Slot != InvalidSlot && !alive(Slot);
         });
     Block.Ops.erase(NewEnd, Block.Ops.end());
-    for (std::unique_ptr<Operation> &Op : Block.Ops)
-      if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor)
-        sweepDead(Op->Body);
-  }
-
-  void removeDeadDecls() {
-    std::vector<uint8_t> Live(Module.tensors().size(), 0);
-    std::vector<uint8_t> LiveParts(Module.partitionsConst().size(), 0);
-    markLiveDecls(Module.root(), Live, LiveParts);
-    for (TensorId T : Module.entryArgs())
-      Live[T] = 1;
-
-    erasePass(Module.root(), Live, LiveParts);
-  }
-
-  void markLiveDecls(IRBlock &Block, std::vector<uint8_t> &Live,
-                     std::vector<uint8_t> &LiveParts) {
     for (std::unique_ptr<Operation> &Op : Block.Ops) {
-      forEachSlice(*Op, [&](TensorSlice &Slice) {
-        Live[Slice.Tensor] = 1;
-        std::optional<PartitionId> Part = Slice.Part;
-        while (Part) {
-          if (LiveParts[*Part])
-            break;
-          LiveParts[*Part] = 1;
-          const IRPartition &P = Module.partition(*Part);
-          Live[P.Base.Tensor] = 1;
-          Part = P.Base.Part;
-        }
-      });
+      if (!Err)
+        forEachSlice(*Op, [&](const TensorSlice &Slice) {
+          const IRTensor &T = Module.tensor(Slice.Tensor);
+          if (!Err && T.Mem == Memory::None)
+            Err = Diagnostic(formatString(
+                "tensor %s mapped to the none memory cannot be eliminated; "
+                "change the partitioning or mapping strategy",
+                T.Name.c_str()));
+        });
       if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor)
-        markLiveDecls(Op->Body, Live, LiveParts);
-    }
-  }
-
-  void erasePass(IRBlock &Block, const std::vector<uint8_t> &Live,
-                 const std::vector<uint8_t> &LiveParts) {
-    for (size_t I = 0; I < Block.Ops.size();) {
-      Operation &Op = *Block.Ops[I];
-      bool Erase = false;
-      if (Op.Kind == OpKind::Alloc && !Live[Op.AllocTensor])
-        Erase = true;
-      if (Op.Kind == OpKind::MakePart && !LiveParts[Op.Part])
-        Erase = true;
-      if (Erase) {
-        Block.Ops.erase(Block.Ops.begin() + static_cast<long>(I));
-        continue;
-      }
-      if (Op.Kind == OpKind::For || Op.Kind == OpKind::PFor)
-        erasePass(Op.Body, Live, LiveParts);
-      ++I;
-    }
-  }
-
-  /// Post-condition of Section 3.3: no tensor mapped to `none` may survive
-  /// in a copy or call (it would have to be materialized).
-  ErrorOrVoid checkNoneConstraint() {
-    std::optional<Diagnostic> Err;
-    checkNoneIn(Module.root(), Err);
-    if (Err)
-      return *Err;
-    return ErrorOrVoid::success();
-  }
-
-  void checkNoneIn(IRBlock &Block, std::optional<Diagnostic> &Err) {
-    for (std::unique_ptr<Operation> &Op : Block.Ops) {
-      if (Err)
-        return;
-      forEachSlice(*Op, [&](const TensorSlice &Slice) {
-        if (Err)
-          return;
-        const IRTensor &T = Module.tensor(Slice.Tensor);
-        if (T.Mem == Memory::None)
-          Err = Diagnostic(formatString(
-              "tensor %s mapped to the none memory cannot be eliminated; "
-              "change the partitioning or mapping strategy",
-              T.Name.c_str()));
-      });
-      if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor)
-        checkNoneIn(Op->Body, Err);
+        sweepBlock(Op->Body, Err);
     }
   }
 

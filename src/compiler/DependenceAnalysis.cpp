@@ -142,7 +142,12 @@ public:
                   const TaskVariant &Variant,
                   std::vector<ScalarExpr> Scalars = {})
       : A(A), Instance(Instance), Variant(Variant),
-        Scalars(std::move(Scalars)) {}
+        Scalars(std::move(Scalars)) {
+    // A task body binds its parameters and indexes a few pieces: one
+    // allocation per table instead of a doubling chain.
+    Handles.reserve(8);
+    HandlePrivs.reserve(8);
+  }
 
   const std::vector<ScalarExpr> &scalarArgs() override { return Scalars; }
 
@@ -285,18 +290,32 @@ public:
   /// Pooled scratch for dependence lists; cleared by each user before use.
   std::vector<EventRef> DepScratch;
 
-  /// Per-compile dispatch memo (see recordLaunch); pointers into the const
+  /// Per-compile dispatch table (see recordLaunch): every calling instance
+  /// seen so far with its callees in `calls` order. Pointers into the const
   /// MappingSpec/TaskRegistry stay valid for the whole traversal.
   struct DispatchEntry {
     const TaskMapping *Caller;
-    std::string Task;
     const TaskMapping *Child;
     const TaskVariant *Variant;
   };
   std::vector<DispatchEntry> DispatchCache;
 
+  /// The first callee of \p Caller whose variant implements \p Task, as
+  /// MappingSpec::dispatch resolves it, or nullptr.
+  const DispatchEntry *findDispatch(const TaskMapping &Caller,
+                                    const std::string &Task) const {
+    for (const DispatchEntry &Entry : DispatchCache)
+      if (Entry.Caller == &Caller && Entry.Variant->Task == Task)
+        return &Entry;
+    return nullptr;
+  }
+
   /// Pooled buffer for assembling dotted tensor names.
   std::string NameBuf;
+
+  /// Pooled argument shapes for leaf FLOP estimates (leaf launches do not
+  /// nest, so one buffer serves the whole traversal).
+  std::vector<Shape> LeafShapes;
 
   void recordRead(TensorId Tensor, EventRef Event) {
     scope().get(Tensor).Reads.push_back(std::move(Event));
@@ -390,7 +409,8 @@ public:
   //===--- Launch lowering -------------------------------------------------===//
 
   void recordLaunch(AnalysisContext &Caller, const TaskMapping &CallerInst,
-                    const std::string &Task, std::vector<TensorHandle> Args,
+                    const std::string &Task,
+                    const std::vector<TensorHandle> &Args,
                     std::vector<ScalarExpr> Scalars);
 
   /// Extent of the innermost pipelined enclosing loop (1 when none).
@@ -460,9 +480,11 @@ TensorHandle AnalysisContext::makeTensor(const std::string &Name, Shape Dims,
   Memory Mem = Memory::None;
   if (auto It = Instance.TempMems.find(Name); It != Instance.TempMems.end())
     Mem = It->second;
+  A.NameBuf.assign(Instance.Instance);
+  A.NameBuf += '.';
+  A.NameBuf += Name;
   TensorId Id = A.module().addTensor(
-      Instance.Instance + "." + Name, TensorType{std::move(Dims), Element},
-      Mem);
+      A.NameBuf, TensorType{std::move(Dims), Element}, Mem);
   IRTensor &T = A.module().tensor(Id);
   T.HomeProc = Instance.Proc;
   T.PipelineDepth =
@@ -534,7 +556,7 @@ TensorHandle AnalysisContext::index(PartitionHandle Part,
 void AnalysisContext::launch(const std::string &Task,
                              std::vector<TensorHandle> Args,
                              std::vector<ScalarExpr> Scalars) {
-  A.recordLaunch(*this, Instance, Task, std::move(Args), std::move(Scalars));
+  A.recordLaunch(*this, Instance, Task, Args, std::move(Scalars));
 }
 
 void AnalysisContext::srange(ScalarExpr Extent,
@@ -579,7 +601,7 @@ void AnalysisContext::prange(
   // Linearize the (possibly multi-dimensional) domain; all extents must be
   // static (they derive from shapes and tunables).
   int64_t Total = 1;
-  std::vector<int64_t> Dims;
+  InlineVector<int64_t, 4> Dims;
   for (const ScalarExpr &E : Extents) {
     if (!E.isConstant()) {
       A.fail("prange extents must be statically evaluable");
@@ -598,28 +620,24 @@ void AnalysisContext::prange(
   Loop.LoopHi = ScalarExpr(Total);
   Loop.ExecProc = Instance.Proc;
 
-  ScalarExpr LinearVar = ScalarExpr::loopVar(Var, Loop.LoopVarName);
-  std::vector<ScalarExpr> Indices;
-  {
-    // Row-major delinearization of the linear induction variable.
-    ScalarExpr Rest = LinearVar;
-    std::vector<ScalarExpr> Rev;
-    for (unsigned I = Dims.size(); I-- > 0;) {
-      if (I == 0) {
-        Rev.push_back(Rest);
-      } else {
-        Rev.push_back(Rest.mod(ScalarExpr(Dims[I])));
-        Rest = Rest.floorDiv(ScalarExpr(Dims[I]));
-      }
+  // Row-major delinearization of the linear induction variable.
+  std::vector<ScalarExpr> Indices(Dims.size());
+  ScalarExpr Rest = ScalarExpr::loopVar(Var, Loop.LoopVarName);
+  for (unsigned I = Dims.size(); I-- > 0;) {
+    if (I == 0) {
+      Indices[0] = Rest;
+    } else {
+      Indices[I] = Rest.mod(ScalarExpr(Dims[I]));
+      Rest = Rest.floorDiv(ScalarExpr(Dims[I]));
     }
-    Indices.assign(Rev.rbegin(), Rev.rend());
   }
 
   std::optional<Processor> SavedChild = A.PrangeChildProc;
   bool SavedWarpSpec = A.PrangeChildWarpSpec;
   A.PrangeChildProc.reset();
   A.PrangeChildWarpSpec = false;
-  size_t External = A.withLoopScope(Loop.Body, [&] { Body(Indices); });
+  size_t External =
+      A.withLoopScope(Loop.Body, [&] { Body(std::move(Indices)); });
   if (!A.PrangeChildProc) {
     A.fail("prange body launched no tasks; cannot infer processor level");
     return;
@@ -658,7 +676,7 @@ void AnalysisContext::prange(
 void Analysis::recordLaunch(AnalysisContext &Caller,
                             const TaskMapping &CallerInst,
                             const std::string &Task,
-                            std::vector<TensorHandle> Args,
+                            const std::vector<TensorHandle> &Args,
                             std::vector<ScalarExpr> Scalars) {
   if (failed())
     return;
@@ -667,29 +685,30 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
 
   // Dispatch + instance + variant resolution is a pure function of the
   // (calling instance, task) pair, and launches repeat the same few pairs
-  // every loop iteration: memoize per compile (a short linear scan beats
-  // the rule walk plus two string-keyed map lookups).
-  const TaskMapping *ChildPtr = nullptr;
-  const TaskVariant *VariantPtr = nullptr;
-  for (const DispatchEntry &Entry : DispatchCache)
-    if (Entry.Caller == &CallerInst && Entry.Task == Task) {
-      ChildPtr = Entry.Child;
-      VariantPtr = Entry.Variant;
-      break;
+  // every loop iteration: resolve each caller's callees once per compile
+  // (validate() already checked that they exist) and scan that short table
+  // instead of walking the rule with string-keyed map lookups per launch.
+  const DispatchEntry *Dispatch = findDispatch(CallerInst, Task);
+  if (!Dispatch &&
+      std::none_of(DispatchCache.begin(), DispatchCache.end(),
+                   [&](const DispatchEntry &E) {
+                     return E.Caller == &CallerInst;
+                   })) {
+    for (const std::string &Callee : CallerInst.Calls) {
+      const TaskMapping *Child = &Mapping.instance(Callee);
+      DispatchCache.push_back(
+          {&CallerInst, Child, &Registry.variant(Child->Variant)});
     }
-  if (!ChildPtr) {
-    ErrorOr<std::string> ChildName =
-        Mapping.dispatch(Registry, CallerInst, Task);
-    if (!ChildName) {
-      fail(ChildName.diagnostic().message());
-      return;
-    }
-    ChildPtr = &Mapping.instance(*ChildName);
-    VariantPtr = &Registry.variant(ChildPtr->Variant);
-    DispatchCache.push_back({&CallerInst, Task, ChildPtr, VariantPtr});
+    Dispatch = findDispatch(CallerInst, Task);
   }
-  const TaskMapping &Child = *ChildPtr;
-  const TaskVariant &Variant = *VariantPtr;
+  if (!Dispatch) {
+    // No callee implements Task: MappingSpec::dispatch words the error.
+    fail(Mapping.dispatch(Registry, CallerInst, Task).diagnostic().message());
+    return;
+  }
+  // Bound to the mapping, not the table: nested launches grow the table.
+  const TaskMapping &Child = *Dispatch->Child;
+  const TaskVariant &Variant = *Dispatch->Variant;
 
   if (Variant.Params.size() != Args.size()) {
     fail(formatString("launch of %s passes %zu tensors but variant %s takes "
@@ -719,10 +738,9 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
   }
 
   // Step 1: fresh allocations in the memories the mapping requests.
-  std::vector<TensorId> Fresh(Args.size());
+  InlineVector<TensorId, 8> Fresh;
   for (size_t I = 0, E = Args.size(); I != E; ++I) {
     const TensorSlice &Arg = Caller.slice(Args[I]);
-    Shape ArgShape = Module.sliceShape(Arg);
     ElementType Elem = Module.tensor(Arg.Tensor).Type.Element;
     // Assemble "<instance>.<param>.<n>" in the pooled buffer: one exact
     // allocation for the stored name instead of a chain of temporaries.
@@ -731,8 +749,8 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
     NameBuf += Variant.Params[I].Name;
     char Tag[16];
     NameBuf.append(Tag, formatTag(Tag, '.', ++TempCounter));
-    TensorId Id = Module.addTensor(NameBuf, TensorType{ArgShape, Elem},
-                                   Child.Mems[I]);
+    TensorId Id = Module.addTensor(
+        NameBuf, TensorType{Module.sliceShape(Arg), Elem}, Child.Mems[I]);
     IRTensor &T = Module.tensor(Id);
     T.HomeProc = Child.Proc;
     T.PipelineDepth =
@@ -750,7 +768,7 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
     Alloc.AllocTensor = Id;
     Alloc.ExecProc = Child.Proc;
     noteLocal(Id);
-    Fresh[I] = Id;
+    Fresh.push_back(Id);
   }
 
   // Step 2: copy-ins for read parameters.
@@ -781,13 +799,18 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
     Call.Unit = Variant.Leaf.Unit;
     Call.ExecProc = Child.Proc;
     Call.ScalarArgs = std::move(Scalars);
-    std::vector<Shape> ArgShapes;
+    Call.Args.reserve(Args.size());
+    Call.ArgIsWritten.reserve(Args.size());
     for (size_t I = 0, E = Args.size(); I != E; ++I) {
       Call.Args.push_back(TensorSlice::whole(Fresh[I]));
       Call.ArgIsWritten.push_back(privilegeWrites(Variant.Params[I].Priv));
-      ArgShapes.push_back(Module.tensor(Fresh[I]).Type.Dims);
     }
-    Call.Flops = Variant.Leaf.Flops ? Variant.Leaf.Flops(ArgShapes) : 0.0;
+    if (Variant.Leaf.Flops) {
+      LeafShapes.resize(Args.size()); // Assignment reuses each capacity.
+      for (size_t I = 0, E = Args.size(); I != E; ++I)
+        LeafShapes[I] = Module.tensor(Fresh[I]).Type.Dims;
+      Call.Flops = Variant.Leaf.Flops(LeafShapes);
+    }
     Call.Result = freshEvent();
     Module.event(Call.Result).Producer = Call.Id;
     for (size_t I = 0, E = Args.size(); I != E; ++I) {
@@ -808,10 +831,11 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
   } else {
     AnalysisContext ChildCtx(*this, Child, Variant, std::move(Scalars));
     std::vector<TensorHandle> Params;
+    Params.reserve(Args.size());
     for (size_t I = 0, E = Args.size(); I != E; ++I)
       Params.push_back(ChildCtx.bindParam(TensorSlice::whole(Fresh[I]),
                                           Variant.Params[I].Priv));
-    Variant.Body(ChildCtx, Params);
+    Variant.Body(ChildCtx, std::move(Params));
     if (failed())
       return;
   }
@@ -877,7 +901,7 @@ ErrorOr<IRModule> Analysis::run() {
                                    Variant.Params[I].Priv));
   }
 
-  Variant.Body(Ctx, Params);
+  Variant.Body(Ctx, std::move(Params));
 
   Blocks.pop_back();
   Stack.pop();

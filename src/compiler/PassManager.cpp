@@ -49,6 +49,7 @@ ErrorOr<IRModule> PassPipeline::run(const CompileInput &Input,
   }
 
   PipelineStats Stats;
+  Stats.Passes.reserve(Passes.size()); // Kept by every cached kernel.
   Clock::time_point PipelineStart = Clock::now();
   // The counter is global but thread-local in what it counts, so enabling
   // it here only perturbs other threads by the cost of a relaxed load per

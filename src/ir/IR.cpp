@@ -81,24 +81,37 @@ EventId IRModule::addEvent(std::string Name, EventType Type) {
   return Id;
 }
 
-Shape IRModule::sliceShape(const TensorSlice &Slice) const {
-  const IRTensor &T = tensor(Slice.Tensor);
-  if (Slice.isWhole())
-    return T.Type.Dims;
-  const IRPartition &P = partition(*Slice.Part);
-  // For symbolic colors the piece shape must be uniform; piece(0...) gives
-  // the interior tile shape. Constant colors resolve exactly (edge tiles).
-  std::vector<int64_t> Color(Slice.Color.size(), 0);
+namespace {
+/// Calls \p Fn(Color, Rank) with the piece color a static slice query
+/// resolves: constant colors exactly (edge tiles); any symbolic color falls
+/// back to the uniform interior tile at color 0. No allocation up to rank 8.
+template <typename Fn>
+auto withStaticColor(const TensorSlice &Slice, const Fn &F) {
+  size_t Rank = Slice.Color.size();
+  int64_t Stack[8] = {};
+  std::vector<int64_t> Heap;
+  int64_t *Color = Rank <= 8 ? Stack : (Heap.resize(Rank), Heap.data());
   bool AllConstant = true;
-  for (unsigned I = 0, E = Slice.Color.size(); I != E; ++I) {
+  for (unsigned I = 0; I != Rank; ++I) {
     if (Slice.Color[I].isConstant())
       Color[I] = Slice.Color[I].constantValue();
     else
       AllConstant = false;
   }
   if (!AllConstant)
-    Color.assign(Slice.Color.size(), 0);
-  return P.Spec.piece(Color).shape();
+    std::fill_n(Color, Rank, 0);
+  return F(Color, Rank);
+}
+} // namespace
+
+Shape IRModule::sliceShape(const TensorSlice &Slice) const {
+  const IRTensor &T = tensor(Slice.Tensor);
+  if (Slice.isWhole())
+    return T.Type.Dims;
+  const Partition &Spec = partition(*Slice.Part).Spec;
+  return withStaticColor(Slice, [&](const int64_t *Color, size_t Rank) {
+    return Spec.pieceShape(Color, Rank);
+  });
 }
 
 SubTensor IRModule::resolveSlice(const TensorSlice &Slice,
@@ -121,24 +134,10 @@ int64_t IRModule::sliceNumElements(const TensorSlice &Slice) const {
   const IRTensor &T = tensor(Slice.Tensor);
   if (Slice.isWhole())
     return T.Type.Dims.numElements();
-  const IRPartition &P = partition(*Slice.Part);
-  // Mirror sliceShape's color handling: constant colors resolve exactly
-  // (edge tiles); any symbolic color falls back to the uniform interior
-  // tile at color 0.
-  size_t Rank = Slice.Color.size();
-  int64_t Stack[8] = {};
-  std::vector<int64_t> Heap;
-  int64_t *Color = Rank <= 8 ? Stack : (Heap.resize(Rank), Heap.data());
-  bool AllConstant = true;
-  for (unsigned I = 0; I != Rank; ++I) {
-    if (Slice.Color[I].isConstant())
-      Color[I] = Slice.Color[I].constantValue();
-    else
-      AllConstant = false;
-  }
-  if (!AllConstant)
-    std::fill_n(Color, Rank, 0);
-  return P.Spec.pieceNumElements(Color, Rank);
+  const Partition &Spec = partition(*Slice.Part).Spec;
+  return withStaticColor(Slice, [&](const int64_t *Color, size_t Rank) {
+    return Spec.pieceNumElements(Color, Rank);
+  });
 }
 
 int64_t IRModule::sliceBytes(const TensorSlice &Slice) const {

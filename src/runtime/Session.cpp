@@ -17,7 +17,10 @@
 
 using namespace cypress;
 
-CompilerSession::CompilerSession(SessionConfig Config) : Config(Config) {}
+CompilerSession::CompilerSession(SessionConfig Config)
+    : Config(Config), Pipeline(PassPipeline::defaultPipeline()) {
+  Pipeline.setVerifyEachPass(Config.VerifyEachPass);
+}
 
 CompilerSession::~CompilerSession() {
   Accepting.store(false);
@@ -257,8 +260,6 @@ CompilerSession::compileKeyed(const KernelKey &Key, const CompileInput &Input,
   // every caller shares it.
   SharedAllocation Alloc;
   PipelineStats PassStats;
-  PassPipeline Pipeline = PassPipeline::defaultPipeline();
-  Pipeline.setVerifyEachPass(Config.VerifyEachPass);
   ErrorOr<IRModule> Module = [&]() -> ErrorOr<IRModule> {
     // Worker-throw containment: a pass that throws (modeled by the
     // worker-throw fault site) must cost exactly one request, not a pool

@@ -66,6 +66,7 @@ struct SessionConfig {
   unsigned Workers = 0;
   /// Run the IR verifier between pipeline stages (see PassPipeline). On by
   /// default; serving deployments can turn it off for compile throughput.
+  /// Read once, when the session builds its pipeline.
   bool VerifyEachPass = true;
   /// Admission bound: the maximum number of requests (summed across
   /// concurrent compile and compileAll callers) in flight at once. Requests
@@ -262,6 +263,10 @@ private:
   void workerMain();
 
   SessionConfig Config;
+  /// The default pipeline, built once with the session (run is const, so
+  /// concurrent misses share it). CYPRESS_PRINT_IR_AFTER_ALL is therefore
+  /// read when the session is constructed, not per compile.
+  PassPipeline Pipeline;
   mutable std::mutex Mutex;
   std::unordered_map<KernelKey, std::shared_ptr<const CompiledKernel>,
                      Digest128Hash>

@@ -242,6 +242,17 @@ int64_t Partition::pieceNumElements(const int64_t *Color,
   cypressUnreachable("unknown partition kind");
 }
 
+Shape Partition::pieceShape(const int64_t *Color, size_t Rank) const {
+  if (Kind != PartitionKind::Blocks)
+    return piece(std::vector<int64_t>(Color, Color + Rank)).shape();
+  assert(Rank == Colors.rank() && "color rank mismatch");
+  std::vector<int64_t> Extent(Parent.rank());
+  for (unsigned I = 0, E = Parent.rank(); I != E; ++I)
+    Extent[I] = std::min(TileShape.dim(I),
+                         Parent.dim(I) - Color[I] * TileShape.dim(I));
+  return Shape(std::move(Extent));
+}
+
 SubTensor Partition::piece(const std::vector<int64_t> &Color) const {
   assert(Color.size() == Colors.rank() && "color rank mismatch");
 #ifndef NDEBUG

@@ -174,6 +174,9 @@ public:
   /// the verifier checks element counts after every pass, so this must not
   /// allocate. \p Color points at rank() color coordinates.
   int64_t pieceNumElements(const int64_t *Color, size_t Rank) const;
+  /// piece(Color).shape() without materializing the piece (one allocation,
+  /// the result's). \p Color points at rank() color coordinates.
+  Shape pieceShape(const int64_t *Color, size_t Rank) const;
   /// The piece at linearized color \p LinearColor.
   SubTensor piece(int64_t LinearColor) const {
     return piece(Colors.delinearize(LinearColor));

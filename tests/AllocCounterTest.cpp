@@ -91,6 +91,48 @@ TEST(AllocCounter, PipelineRecordsPerPassAllocs) {
   EXPECT_FALSE(allocCountingEnabled()) << "run() must restore the flag";
 }
 
+/// Warm per-pass heap allocations of a default-pipeline compile, pinned
+/// as upper bounds at the counts measured when the dependence analysis
+/// stopped re-allocating per launch (fresh-tensor ids inline, argument
+/// shapes pooled, one dispatch table per caller) and copy elimination
+/// started splicing preconditions in place. A change that allocates more
+/// in any pass fails here; one that allocates less should lower the pin.
+TEST(AllocCounter, PipelineAllocationBound) {
+  if (!allocCounterActive())
+    GTEST_SKIP() << "alloc counter compiled out (sanitizer build)";
+
+  struct Case {
+    const char *Name;
+    Compiled Kernel; // Only its registry and mapping are used.
+    std::vector<TensorType> Args;
+    uint64_t Bounds[7]; // Default-pipeline pass order.
+  } Cases[] = {
+      {"gemm_4096", compileGemm(headlineGemmConfig()),
+       gemmArgTypes(headlineGemmConfig()),
+       {275, 33, 16, 0, 7, 4, 2}},
+      {"fa3_4096", compileAttention(fa3Config(4096)),
+       attentionArgTypes(fa3Config(4096)),
+       {704, 116, 77, 0, 8, 9, 0}}};
+
+  PassPipeline Pipeline = PassPipeline::defaultPipeline();
+  Pipeline.setCountAllocs(true);
+  for (Case &C : Cases) {
+    ASSERT_TRUE(C.Kernel.Kernel) << C.Name << ": " << C.Kernel.Error;
+    CompileInput Input{C.Kernel.Registry.get(), C.Kernel.Mapping.get(),
+                       &MachineModel::h100(), C.Args};
+    PipelineStats Stats;
+    for (int I = 0; I < 3; ++I) // Warm the pooled scratch first.
+      ASSERT_TRUE(bool(Pipeline.run(Input, nullptr, &Stats)));
+    ASSERT_EQ(Stats.Passes.size(), 7u);
+    for (size_t P = 0; P < 7; ++P) {
+      const PassStat &S = Stats.Passes[P];
+      RecordProperty(std::string(C.Name) + "_" + S.Name,
+                     static_cast<int>(S.HeapAllocs));
+      EXPECT_LE(S.HeapAllocs, C.Bounds[P]) << C.Name << " " << S.Name;
+    }
+  }
+}
+
 /// The claim under test (Simulator.cpp): pooled thread-local scratch makes
 /// repeated runTiming calls allocation-free in steady state. Measured
 /// honestly: a warm run still allocates a bounded handful — the returned
