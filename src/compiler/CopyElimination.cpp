@@ -39,9 +39,9 @@
 /// Event renames and precondition splices walk use-lists instead of the
 /// module; erasure is lazy (slots are marked dead and swept once at the
 /// end); each per-op pattern pops candidate anchors in program order from
-/// its own worklist, re-seeded by exactly the state a rewrite invalidates
-/// (touched tensors' toucher lists, users whose preconditions changed, and
-/// producers whose erase-legality those changes affect). The rewrite
+/// its own bitset worklist, re-seeded only where a rewrite can change a
+/// match (the anchors that scan a touched tensor's touchers past the
+/// rewritten op, and the ops whose erase legality moved). The rewrite
 /// sequence — and therefore the printed IR, pinned byte-for-byte by
 /// CompilerParityTest — is identical to the historical rescan-everything
 /// implementation; only the work to find each rewrite changed.
@@ -225,9 +225,9 @@ struct GraphScratch {
   std::vector<std::vector<uint32_t>> TensorCopyUsers;
   std::vector<uint32_t> ReadCount;                ///< By tensor id.
   std::vector<TensorId> RootsA, RootsB;           ///< collectRoots buffers.
-  std::vector<uint32_t> SubstUsers;               ///< substituteTensor copy.
+  std::vector<uint32_t> SubstUsers;               ///< moveUsers merge buffer.
   std::vector<TensorId> SubstRoots;               ///< Affected-root union.
-  std::vector<EventRef> PrecondScratch;           ///< Splice rebuild buffer.
+  std::vector<EventRef> PrecondScratch;           ///< Spliced references.
   /// Queued (pattern, slot) pairs carried across a renumbering.
   std::vector<std::pair<unsigned, uint32_t>> Requeue;
   /// Launch-boundary copies grouped by their fresh tensor, ascending id.
@@ -316,6 +316,7 @@ public:
     }
     std::optional<Diagnostic> NoneErr = sweep();
     cypress::repairEventScopes(Module);
+    trimPreconditions(Module.root());
     if (NoneErr)
       return *NoneErr;
     return ErrorOrVoid::success();
@@ -778,21 +779,26 @@ private:
             return false;
         }
       }
+      // Replace each reference in place. A list that must grow is
+      // reserved to the exact size first: cached kernels keep these lists,
+      // so doubling growth would be paid in every kernel's footprint.
       auto Adjusted = std::make_move_iterator(Spliced.begin());
+      size_t Step = Preconds.size();
+      Op.Preconds.reserve(Op.Preconds.size() - Refs + Spliced.size());
       for (size_t I = 0; I < Op.Preconds.size(); ++I) {
         if (Op.Preconds[I].Event != From)
           continue;
         auto At = Op.Preconds.begin() + static_cast<long>(I);
-        if (Preconds.empty()) {
+        if (!Step) {
           Op.Preconds.erase(At);
           --I;
           continue;
         }
         *At = *Adjusted++;
         Op.Preconds.insert(At + 1, Adjusted,
-                           Adjusted + static_cast<long>(Preconds.size() - 1));
-        Adjusted += static_cast<long>(Preconds.size() - 1);
-        I += Preconds.size() - 1;
+                           Adjusted + static_cast<long>(Step - 1));
+        Adjusted += static_cast<long>(Step - 1);
+        I += Step - 1;
       }
       if (Refs)
         for (const EventRef &P : Preconds) {
@@ -1509,6 +1515,17 @@ private:
     return Err;
   }
 
+  /// Splices grow the surviving users' lists in place and the scope
+  /// repair deduplicates them; the compiled kernel keeps these lists, so
+  /// their slack is trimmed once, here.
+  static void trimPreconditions(IRBlock &Block) {
+    for (std::unique_ptr<Operation> &Op : Block.Ops) {
+      Op->Preconds.shrink_to_fit();
+      if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor)
+        trimPreconditions(Op->Body);
+    }
+  }
+
   void sweepBlock(IRBlock &Block, std::optional<Diagnostic> &Err) {
     auto NewEnd = std::remove_if(
         Block.Ops.begin(), Block.Ops.end(),
@@ -1705,7 +1722,11 @@ private:
         if (!Seen)
           S.Unique.push_back(std::move(Ref));
       }
-      Op->Preconds.swap(S.Unique);
+      // Write back into the op's own buffer (the list only shrinks), so
+      // buffers stay with their ops instead of rotating through the pool.
+      Op->Preconds.clear();
+      std::move(S.Unique.begin(), S.Unique.end(),
+                std::back_inserter(Op->Preconds));
       if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor) {
         S.Chain.push_back(Op.get());
         fix(Op->Body);
