@@ -440,7 +440,7 @@ private:
     uint32_t Next = 0;
     renumberBlock(Module.root(), Next);
     for (const auto &[P, Slot] : S.Requeue)
-      Work[P].set(keyOf(Slot));
+      Work[P].set(posOf(Slot));
   }
 
   void renumberBlock(IRBlock &Block, uint32_t &Next) {
@@ -457,15 +457,15 @@ private:
 
   bool alive(uint32_t Slot) const { return S.Nodes[Slot].Alive; }
   Operation &op(uint32_t Slot) const { return *S.Nodes[Slot].Op; }
-  uint32_t keyOf(uint32_t Slot) const { return S.PosOf[Slot]; }
+  uint32_t posOf(uint32_t Slot) const { return S.PosOf[Slot]; }
 
   /// Iterator to the first entry of a position-sorted slot list strictly
   /// after \p Slot in program order.
   std::vector<uint32_t>::const_iterator
   firstAfter(const std::vector<uint32_t> &Users, uint32_t Slot) const {
-    return std::upper_bound(Users.begin(), Users.end(), keyOf(Slot),
+    return std::upper_bound(Users.begin(), Users.end(), posOf(Slot),
                             [this](uint32_t Key, uint32_t User) {
-                              return Key < keyOf(User);
+                              return Key < posOf(User);
                             });
   }
 
@@ -486,12 +486,12 @@ private:
   }
 
   void insertUser(std::vector<uint32_t> &Users, uint32_t Slot, uint32_t Key) {
-    if (Users.empty() || keyOf(Users.back()) < Key) // Build appends.
+    if (Users.empty() || posOf(Users.back()) < Key) // Build appends.
       Users.push_back(Slot);
     else
       Users.insert(std::upper_bound(Users.begin(), Users.end(), Key,
                                     [this](uint32_t K, uint32_t User) {
-                                      return K < keyOf(User);
+                                      return K < posOf(User);
                                     }),
                    Slot);
   }
@@ -499,7 +499,7 @@ private:
   void eraseUser(std::vector<uint32_t> &Users, uint32_t Slot, uint32_t Key) {
     auto It = std::lower_bound(Users.begin(), Users.end(), Key,
                                [this](uint32_t User, uint32_t K) {
-                                 return keyOf(User) < K;
+                                 return posOf(User) < K;
                                });
     if (It != Users.end() && *It == Slot)
       Users.erase(It);
@@ -508,7 +508,7 @@ private:
   void addTouches(uint32_t Slot) {
     Operation &Op = op(Slot);
     collectRoots(Op, S.RootsA);
-    uint32_t Key = keyOf(Slot);
+    uint32_t Key = posOf(Slot);
     bool IsCopy = Op.Kind == OpKind::Copy;
     for (TensorId T : S.RootsA) {
       insertUser(S.TensorUsers[T], Slot, Key);
@@ -520,7 +520,7 @@ private:
   void removeTouches(uint32_t Slot) {
     Operation &Op = op(Slot);
     collectRoots(Op, S.RootsA);
-    uint32_t Key = keyOf(Slot);
+    uint32_t Key = posOf(Slot);
     bool IsCopy = Op.Kind == OpKind::Copy;
     for (TensorId T : S.RootsA) {
       eraseUser(S.TensorUsers[T], Slot, Key);
@@ -576,7 +576,7 @@ private:
     uint8_t Mask = S.SeedMask[Slot] & Bits;
     if (!Mask)
       return;
-    uint32_t Pos = keyOf(Slot);
+    uint32_t Pos = posOf(Slot);
     for (unsigned P = 0; P < NumPatterns; ++P)
       if (Mask & (1u << P))
         Work[P].set(Pos);
@@ -596,7 +596,7 @@ private:
   void seedTouchers(TensorId T, uint32_t Pos) {
     bool Unread = S.ReadCount[T] == 0;
     for (uint32_t Slot : S.TensorCopyUsers[T]) {
-      bool Before = keyOf(Slot) < Pos;
+      bool Before = posOf(Slot) < Pos;
       bool DstHere = op(Slot).CopyDst.Tensor == T;
       uint8_t Bits = 0;
       if (Before)
@@ -643,7 +643,7 @@ private:
     recomputeSeedMask(Slot);
     seedAll(Slot);
     for (TensorId T : S.RootsB)
-      seedTouchers(T, keyOf(Slot));
+      seedTouchers(T, posOf(Slot));
     dirtyBoundaryGroup(Op);
     markDirtyLoops(Slot);
   }
@@ -659,7 +659,7 @@ private:
       S.EventProducer[Op.Result] = InvalidSlot;
     dirtyBoundaryGroup(Op);
     for (TensorId T : S.RootsA) // The roots removeTouches collected.
-      seedTouchers(T, keyOf(Slot));
+      seedTouchers(T, posOf(Slot));
     // A dead user stops blocking precondition splices of the events it
     // referenced; their producers may have become erasable.
     seedReferencedProducers(Op);
@@ -780,8 +780,7 @@ private:
         }
       }
       // Replace each reference in place. A list that must grow is
-      // reserved to the exact size first: cached kernels keep these lists,
-      // so doubling growth would be paid in every kernel's footprint.
+      // reserved to its exact new size first (no doubling slack).
       auto Adjusted = std::make_move_iterator(Spliced.begin());
       size_t Step = Preconds.size();
       Op.Preconds.reserve(Op.Preconds.size() - Refs + Spliced.size());
@@ -1016,15 +1015,15 @@ private:
       Operation &Op = op(Slot);
       // The last copy in program order wins its side of the pair.
       if (Op.CopyDst.isWhole() && Op.CopyDst.Tensor == Op.BoundaryTensor) {
-        if (!In || keyOf(Slot) > InKey) {
+        if (!In || posOf(Slot) > InKey) {
           In = &Op;
-          InKey = keyOf(Slot);
+          InKey = posOf(Slot);
         }
       } else if (Op.CopySrc.isWhole() &&
                  Op.CopySrc.Tensor == Op.BoundaryTensor) {
-        if (!Out || keyOf(Slot) > OutKey) {
+        if (!Out || posOf(Slot) > OutKey) {
           Out = &Op;
-          OutKey = keyOf(Slot);
+          OutKey = posOf(Slot);
         }
       }
     }
@@ -1077,7 +1076,7 @@ private:
     Affected.assign(1, To.Tensor);
     uint32_t LastPos = 0;
     for (uint32_t Slot : S.TensorUsers[From]) {
-      LastPos = keyOf(Slot); // The list is sorted and holds alive ops.
+      LastPos = posOf(Slot); // The list is sorted and holds alive ops.
       Operation &Op = op(Slot);
       collectRoots(Op, S.RootsA);
       for (TensorId T : S.RootsA)
@@ -1109,7 +1108,7 @@ private:
   void moveUsers(std::vector<uint32_t> &From, std::vector<uint32_t> &Into) {
     std::vector<uint32_t> &Merged = S.SubstUsers; // Capacity pools.
     Merged.resize(From.size() + Into.size());
-    auto ByPos = [this](uint32_t A, uint32_t B) { return keyOf(A) < keyOf(B); };
+    auto ByPos = [this](uint32_t A, uint32_t B) { return posOf(A) < posOf(B); };
     Merged.erase(std::unique(Merged.begin(),
                              std::merge(Into.begin(), Into.end(), From.begin(),
                                         From.end(), Merged.begin(), ByPos)),
@@ -1163,7 +1162,7 @@ private:
     while (SrcIt != SrcUsers.end() || DstIt != DstUsers.end()) {
       uint32_t USlot;
       if (DstIt == DstUsers.end() ||
-          (SrcIt != SrcUsers.end() && keyOf(*SrcIt) <= keyOf(*DstIt))) {
+          (SrcIt != SrcUsers.end() && posOf(*SrcIt) <= posOf(*DstIt))) {
         USlot = *SrcIt++;
         if (DstIt != DstUsers.end() && *DstIt == USlot)
           ++DstIt;
@@ -1307,7 +1306,7 @@ private:
         const std::vector<uint32_t> &Touchers = S.TensorUsers[Root];
         for (auto It = firstAfter(Touchers, LoopSlot);
              It != Touchers.end() &&
-             keyOf(*It) <= S.Nodes[LoopSlot].SubtreeEnd;
+             posOf(*It) <= S.Nodes[LoopSlot].SubtreeEnd;
              ++It) {
           if (!alive(*It))
             continue;
