@@ -282,3 +282,46 @@ TEST(CompilerParity, SeededGuidedPointsGolden) {
   }
   EXPECT_EQ(At, Golden.size()) << "golden has lines past the last point";
 }
+
+/// The rewrite work behind the seeded points: every pass's Rewrites counter
+/// and the ops/events/tensors it leaves, one line per pass. The IR digests
+/// above already pin what each pass produces; this golden pins how much
+/// rewriting copy elimination does to get there, so an engine that reaches
+/// the same IR through a different rewrite sequence fails here too.
+TEST(CompilerParity, SeededGuidedPointsRewritesGolden) {
+  std::string Actual;
+  size_t Points = 0;
+  for (const GuidedCompilePoint &Point : seededGuidedCompilePoints()) {
+    PipelineStats Stats;
+    ErrorOr<IRModule> Module =
+        PassPipeline::defaultPipeline().run(Point.input(), nullptr, &Stats);
+    ASSERT_TRUE(Module) << Point.Label << ": " << Module.diagnostic().str();
+    Actual += Point.Label + "\n";
+    for (const PassStat &S : Stats.Passes) {
+      char Line[160];
+      std::snprintf(Line, sizeof(Line),
+                    "  %s rewrites=%llu ops=%zu events=%zu tensors=%zu\n",
+                    S.Name.c_str(),
+                    static_cast<unsigned long long>(S.Rewrites), S.OpsAfter,
+                    S.EventsAfter, S.TensorsAfter);
+      Actual += Line;
+    }
+    ++Points;
+  }
+  ASSERT_EQ(Points, 24u);
+
+  std::string Path =
+      std::string(CYPRESS_GOLDEN_DIR) + "/compiler_seeded_rewrites.txt";
+  if (updateGoldens()) {
+    std::ofstream Out(Path, std::ios::binary);
+    ASSERT_TRUE(Out.good()) << "cannot write " << Path;
+    Out << Actual;
+    return;
+  }
+  std::ifstream In(Path, std::ios::binary);
+  ASSERT_TRUE(In.good()) << "missing golden " << Path
+                         << " (record with CYPRESS_UPDATE_GOLDENS=1)";
+  std::ostringstream Golden;
+  Golden << In.rdbuf();
+  EXPECT_EQ(Golden.str(), Actual);
+}
