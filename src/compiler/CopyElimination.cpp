@@ -224,8 +224,10 @@ struct GraphScratch {
   /// of the full list drops the dominant per-rewrite seeding cost.
   std::vector<std::vector<uint32_t>> TensorCopyUsers;
   std::vector<uint32_t> ReadCount;                ///< By tensor id.
+  /// Partitions by the root tensor of their base slice, so forwarding a
+  /// tensor rebases exactly its partitions instead of scanning them all.
+  std::vector<std::vector<PartitionId>> PartsOf;
   std::vector<TensorId> RootsA, RootsB;           ///< collectRoots buffers.
-  std::vector<uint32_t> SubstUsers;               ///< moveUsers merge buffer.
   std::vector<TensorId> SubstRoots;               ///< Affected-root union.
   std::vector<EventRef> PrecondScratch;           ///< Spliced references.
   /// Queued (pattern, slot) pairs carried across a renumbering.
@@ -356,6 +358,9 @@ private:
     S.clearLists(S.TensorUsers, Module.tensors().size());
     S.clearLists(S.TensorCopyUsers, Module.tensors().size());
     S.ReadCount.assign(Module.tensors().size(), 0);
+    S.clearLists(S.PartsOf, Module.tensors().size());
+    for (const IRPartition &P : Module.partitionsConst())
+      S.PartsOf[P.Base.Tensor].push_back(P.Id);
     S.BoundarySlots.clear();
     buildBlock(Module.root(), InvalidSlot, 0);
     buildBoundaryGroups();
@@ -774,16 +779,19 @@ private:
         if (Ref.Event != From)
           continue;
         for (const EventRef &P : Preconds) {
-          Spliced.emplace_back();
-          if (!adjustSpliced(P, Ref, FromType, Spliced.back()))
+          Spliced.push_back(P);
+          if (!adjustSpliced(Ref, FromType, Spliced.back()))
             return false;
         }
       }
-      // Replace each reference in place. A list that must grow is
-      // reserved to its exact new size first (no doubling slack).
+      // Replace each reference in place. A list at capacity doubles: later
+      // splices into the same user then append without moving it again,
+      // and run() trims every surviving list once at the end.
       auto Adjusted = std::make_move_iterator(Spliced.begin());
       size_t Step = Preconds.size();
-      Op.Preconds.reserve(Op.Preconds.size() - Refs + Spliced.size());
+      size_t NewSize = Op.Preconds.size() - Refs + Spliced.size();
+      if (NewSize > Op.Preconds.capacity())
+        Op.Preconds.reserve(std::max(NewSize, 2 * Op.Preconds.capacity()));
       for (size_t I = 0; I < Op.Preconds.size(); ++I) {
         if (Op.Preconds[I].Event != From)
           continue;
@@ -825,15 +833,14 @@ private:
     return true;
   }
 
-  /// Writes into \p Result the spliced precondition \p P adjusted for a
-  /// user that referenced the erased event as \p User; false when it cannot
-  /// be adjusted. Point-wise processor indices in P that match a dimension
-  /// of the erased event's type take the user's index for that dimension
-  /// (turning into broadcasts when the user broadcast).
-  static bool adjustSpliced(const EventRef &P, const EventRef &User,
-                            const EventType &FromType, EventRef &Result) {
-    Result = P;
-    Result.IterLag = P.IterLag + User.IterLag;
+  /// Adjusts \p Result, a copy of a spliced precondition, for a user that
+  /// referenced the erased event as \p User; false when it cannot be
+  /// adjusted. Point-wise processor indices that match a dimension of the
+  /// erased event's type take the user's index for that dimension (turning
+  /// into broadcasts when the user broadcast).
+  static bool adjustSpliced(const EventRef &User, const EventType &FromType,
+                            EventRef &Result) {
+    Result.IterLag += User.IterLag;
     for (EventIndex &Index : Result.Indices) {
       if (Index.isBroadcast())
         continue;
@@ -841,6 +848,8 @@ private:
         continue;
       // Identify which processor this index selects; only plain
       // processor-index expressions are handled.
+      if (Index.Index.kind() != ScalarExpr::Kind::ProcIndex)
+        return false;
       bool Matched = false;
       for (size_t D = 0, E = FromType.Dims.size(); D != E; ++D) {
         ScalarExpr Plain = ScalarExpr::procIndex(FromType.Dims[D].Proc);
@@ -1064,14 +1073,17 @@ private:
   /// once per rewritten user, so one final sweep over the union of
   /// affected roots seeds the anchors before the last rewritten user.
   void substituteTensor(TensorId From, const TensorSlice &To) {
-    for (IRPartition &P : Module.partitions()) {
-      if (P.Base.Tensor != From)
-        continue;
+    std::vector<PartitionId> &Rebased = S.PartsOf[From];
+    for (PartitionId Id : Rebased) {
+      IRPartition &P = Module.partition(Id);
       if (P.Base.isWhole())
         P.Base = To;
       else
         P.Base.Tensor = To.Tensor; // Chain root updates below.
     }
+    std::vector<PartitionId> &Into = S.PartsOf[To.Tensor];
+    Into.insert(Into.end(), Rebased.begin(), Rebased.end());
+    Rebased.clear();
     std::vector<TensorId> &Affected = S.SubstRoots;
     Affected.assign(1, To.Tensor);
     uint32_t LastPos = 0;
@@ -1103,17 +1115,20 @@ private:
       seedTouchers(T, LastPos);
   }
 
-  /// Merges the position-sorted list \p From into \p Into (an op touching
-  /// both stays listed once) and empties From.
+  /// Inserts the position-sorted list \p From into \p Into (an op touching
+  /// both stays listed once) and empties From. From is a fresh tensor's
+  /// handful of touchers, so each lands by binary search, resuming where
+  /// the previous one did, instead of a merge over all of Into.
   void moveUsers(std::vector<uint32_t> &From, std::vector<uint32_t> &Into) {
-    std::vector<uint32_t> &Merged = S.SubstUsers; // Capacity pools.
-    Merged.resize(From.size() + Into.size());
-    auto ByPos = [this](uint32_t A, uint32_t B) { return posOf(A) < posOf(B); };
-    Merged.erase(std::unique(Merged.begin(),
-                             std::merge(Into.begin(), Into.end(), From.begin(),
-                                        From.end(), Merged.begin(), ByPos)),
-                 Merged.end());
-    Into.swap(Merged);
+    auto At = Into.begin();
+    for (uint32_t Slot : From) {
+      At = std::lower_bound(At, Into.end(), posOf(Slot),
+                            [this](uint32_t User, uint32_t Key) {
+                              return posOf(User) < Key;
+                            });
+      if (At == Into.end() || *At != Slot)
+        At = Into.insert(At, Slot);
+    }
     From.clear();
   }
 
@@ -1613,7 +1628,6 @@ struct ScopeRepairScratch {
   size_t NumChains = 0; ///< Live prefix of Chains (rest keep capacity).
   std::vector<uint32_t> ChainOf;
   std::vector<const Operation *> Chain;
-  std::vector<EventRef> Kept, Unique;
 
   std::vector<const Operation *> &freshChain() {
     if (NumChains == Chains.size())
@@ -1666,8 +1680,14 @@ private:
 
   void fix(IRBlock &Block) {
     for (std::unique_ptr<Operation> &Op : Block.Ops) {
-      S.Kept.clear();
-      for (EventRef &Ref : Op->Preconds) {
+      // Compact the list in place: each reference is kept, rebased onto
+      // the loop that hides its event, or dropped, and then dropped again
+      // if a structurally identical one was already kept (the list only
+      // shrinks, so it stays in the op's own buffer).
+      std::vector<EventRef> &Refs = Op->Preconds;
+      size_t Kept = 0;
+      for (size_t I = 0; I < Refs.size(); ++I) {
+        EventRef &Ref = Refs[I];
         if (Ref.Event >= Module.numEvents() ||
             S.ChainOf[Ref.Event] == NoChain)
           continue; // Producer erased without rewiring: drop.
@@ -1677,61 +1697,52 @@ private:
         while (Common < Def.size() && Common < S.Chain.size() &&
                Def[Common] == S.Chain[Common])
           ++Common;
-        if (Common == Def.size()) {
-          S.Kept.push_back(std::move(Ref));
-          continue;
-        }
-        // The event lives inside loops the user is not in; wait for the
-        // outermost such loop instead.
-        const Operation *Loop = Def[Common];
-        if (Loop == Op.get())
-          continue; // A loop waiting on its own body: drop.
-        if (Loop->Result == InvalidEventId)
-          continue;
-        EventRef Repl;
-        Repl.Event = Loop->Result;
-        const EventType &Type = Module.event(Loop->Result).Type;
-        for (size_t D = 0; D < Type.Dims.size(); ++D)
-          Repl.Indices.push_back(EventIndex::broadcast());
-        S.Kept.push_back(std::move(Repl));
-      }
-      // Deduplicate structurally identical references.
-      S.Unique.clear();
-      for (EventRef &Ref : S.Kept) {
-        bool Seen = false;
-        for (const EventRef &Have : S.Unique) {
-          if (Have.Event != Ref.Event || Have.IterLag != Ref.IterLag ||
-              Have.Indices.size() != Ref.Indices.size())
+        if (Common != Def.size()) {
+          // The event lives inside loops the user is not in; wait for the
+          // outermost such loop instead.
+          const Operation *Loop = Def[Common];
+          if (Loop == Op.get())
+            continue; // A loop waiting on its own body: drop.
+          if (Loop->Result == InvalidEventId)
             continue;
-          bool Same = true;
-          for (size_t D = 0; D < Ref.Indices.size(); ++D) {
-            if (Have.Indices[D].isBroadcast() !=
-                    Ref.Indices[D].isBroadcast() ||
-                (!Ref.Indices[D].isBroadcast() &&
-                 !Have.Indices[D].Index.equals(Ref.Indices[D].Index))) {
-              Same = false;
-              break;
-            }
-          }
-          if (Same) {
-            Seen = true;
-            break;
-          }
+          Ref.Event = Loop->Result;
+          Ref.IterLag = 0;
+          Ref.Indices.clear();
+          const EventType &Type = Module.event(Loop->Result).Type;
+          for (size_t D = 0; D < Type.Dims.size(); ++D)
+            Ref.Indices.push_back(EventIndex::broadcast());
         }
-        if (!Seen)
-          S.Unique.push_back(std::move(Ref));
+        if (std::none_of(Refs.begin(), Refs.begin() + static_cast<long>(Kept),
+                         [&Ref](const EventRef &Have) {
+                           return sameRef(Have, Ref);
+                         })) {
+          if (Kept != I)
+            Refs[Kept] = std::move(Ref);
+          ++Kept;
+        }
       }
-      // Write back into the op's own buffer (the list only shrinks), so
-      // buffers stay with their ops instead of rotating through the pool.
-      Op->Preconds.clear();
-      std::move(S.Unique.begin(), S.Unique.end(),
-                std::back_inserter(Op->Preconds));
+      Refs.erase(Refs.begin() + static_cast<long>(Kept), Refs.end());
       if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor) {
         S.Chain.push_back(Op.get());
         fix(Op->Body);
         S.Chain.pop_back();
       }
     }
+  }
+
+  /// Structural identity of two references (the deduplication key).
+  static bool sameRef(const EventRef &A, const EventRef &B) {
+    if (A.Event != B.Event || A.IterLag != B.IterLag ||
+        A.Indices.size() != B.Indices.size())
+      return false;
+    for (size_t D = 0; D < A.Indices.size(); ++D) {
+      if (A.Indices[D].isBroadcast() != B.Indices[D].isBroadcast())
+        return false;
+      if (!A.Indices[D].isBroadcast() &&
+          !A.Indices[D].Index.equals(B.Indices[D].Index))
+        return false;
+    }
+    return true;
   }
 
   IRModule &Module;

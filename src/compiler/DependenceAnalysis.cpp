@@ -57,36 +57,41 @@ struct TensorState {
   bool Local = false;   ///< Allocated in this scope.
   bool ExtRead = false; ///< Read of a tensor from an enclosing scope.
   bool ExtWritten = false;
-  bool Active = false;  ///< Slot in use (slots pool across scopes).
 };
 
+constexpr uint32_t NoSlot = ~0u;
+
 /// One dependence-tracking scope. The root scope covers the entrypoint
-/// body; every for/pfor body pushes a child scope. A scope touches a
-/// handful of tensors, so the table is a flat slot vector with linear
-/// lookup — no hashing, and slot capacity (including each slot's Reads
-/// buffer) pools across scopes and compiles via the thread-local scope
-/// stack. Every place whose output depends on slot order (finishLoop's
-/// dependence wiring) re-sorts by tensor id first.
+/// body; every for/pfor body pushes a child scope. Slots are kept in
+/// first-use order and found through a tensor-id index, so a lookup costs
+/// one load however many tensors the scope has touched. Slot capacity
+/// (including each slot's Reads buffer) and the index pool across scopes
+/// and compiles via the thread-local scope stack; reset clears only the
+/// index entries the scope set. Every place whose output depends on slot
+/// order (finishLoop's dependence wiring) re-sorts by tensor id first.
 struct Scope {
   std::vector<TensorState> Slots;
-  size_t Size = 0; ///< Active prefix of Slots.
+  size_t Size = 0;              ///< Active prefix of Slots.
+  std::vector<uint32_t> SlotOf; ///< Tensor id -> slot (NoSlot: untouched).
 
   void reset() {
     for (size_t I = 0; I < Size; ++I)
-      Slots[I].Active = false;
+      SlotOf[Slots[I].Tensor] = NoSlot;
     Size = 0;
   }
 
   TensorState *find(TensorId Tensor) {
-    for (size_t I = 0; I < Size; ++I)
-      if (Slots[I].Tensor == Tensor)
-        return &Slots[I];
-    return nullptr;
+    if (Tensor >= SlotOf.size() || SlotOf[Tensor] == NoSlot)
+      return nullptr;
+    return &Slots[SlotOf[Tensor]];
   }
 
   TensorState &get(TensorId Tensor) {
     if (TensorState *Have = find(Tensor))
       return *Have;
+    if (Tensor >= SlotOf.size())
+      SlotOf.resize(Tensor + 1, NoSlot);
+    SlotOf[Tensor] = static_cast<uint32_t>(Size);
     if (Size == Slots.size())
       Slots.emplace_back();
     TensorState &Slot = Slots[Size++];
@@ -98,7 +103,6 @@ struct Scope {
     Slot.Local = false;
     Slot.ExtRead = false;
     Slot.ExtWritten = false;
-    Slot.Active = true;
     return Slot;
   }
 };
@@ -134,22 +138,50 @@ ScopeStack &scopeStack() {
 
 class Analysis;
 
+/// The handle tables of one task instance's context: handle -> slice and
+/// privilege, partition handle -> partition and privilege.
+struct ContextTables {
+  std::vector<std::pair<TensorSlice, Privilege>> Handles;
+  std::vector<std::pair<PartitionId, Privilege>> Parts;
+};
+
+/// Contexts nest exactly like the launches that create them, so their
+/// tables form a stack pooled per thread: a launch borrows the next level's
+/// tables (keeping their capacity) instead of allocating its own.
+struct ContextStack {
+  std::deque<ContextTables> Levels; ///< Deque: references survive pushes.
+  size_t Depth = 0;
+
+  ContextTables &push() {
+    if (Depth == Levels.size())
+      Levels.emplace_back();
+    ContextTables &T = Levels[Depth++];
+    T.Handles.clear();
+    T.Parts.clear();
+    return T;
+  }
+  void pop() {
+    assert(Depth > 0 && "context stack underflow");
+    --Depth;
+  }
+};
+
+ContextStack &contextStack() {
+  thread_local ContextStack Stack;
+  return Stack;
+}
+
 /// The InnerContext implementation handed to inner task bodies. One exists
 /// per task instance being traversed; handles are indices into its tables.
 class AnalysisContext : public InnerContext {
 public:
   AnalysisContext(Analysis &A, const TaskMapping &Instance,
-                  const TaskVariant &Variant,
-                  std::vector<ScalarExpr> Scalars = {})
-      : A(A), Instance(Instance), Variant(Variant),
-        Scalars(std::move(Scalars)) {
-    // A task body binds its parameters and indexes a few pieces: one
-    // allocation per table instead of a doubling chain.
-    Handles.reserve(8);
-    HandlePrivs.reserve(8);
-  }
+                  ScalarExprs Scalars = {})
+      : A(A), Instance(Instance), Scalars(Scalars),
+        Tables(contextStack().push()) {}
+  ~AnalysisContext() override { contextStack().pop(); }
 
-  const std::vector<ScalarExpr> &scalarArgs() override { return Scalars; }
+  ScalarExprs scalarArgs() override { return Scalars; }
 
   const Shape &shapeOf(TensorHandle Handle) override;
   int64_t tunable(const std::string &Name) override;
@@ -160,40 +192,37 @@ public:
                                     Shape TileShape) override;
   PartitionHandle partitionByMma(TensorHandle Tensor, MmaInstruction Instr,
                                  Processor Proc, MmaOperand Operand) override;
-  TensorHandle index(PartitionHandle Part,
-                     std::vector<ScalarExpr> Color) override;
-  void launch(const std::string &Task, std::vector<TensorHandle> Args,
-              std::vector<ScalarExpr> Scalars) override;
-  void srange(ScalarExpr Extent,
-              const std::function<void(ScalarExpr)> &Body) override;
-  void prange(std::vector<ScalarExpr> Extents,
-              const std::function<void(std::vector<ScalarExpr>)> &Body)
-      override;
+  TensorHandle index(PartitionHandle Part, ScalarExprs Color) override;
+  void launch(const std::string &Task, TensorHandles Args,
+              ScalarExprs Scalars) override;
+  void srange(ScalarExpr Extent, FunctionRef<void(ScalarExpr)> Body) override;
+  void prange(ScalarExprs Extents,
+              FunctionRef<void(ScalarExprs)> Body) override;
 
   TensorHandle bindParam(TensorSlice Slice, Privilege Priv) {
-    Handles.push_back(std::move(Slice));
-    HandlePrivs.push_back(Priv);
-    return {static_cast<uint32_t>(Handles.size() - 1)};
+    Tables.Handles.emplace_back(std::move(Slice), Priv);
+    return {static_cast<uint32_t>(Tables.Handles.size() - 1)};
   }
 
   const TensorSlice &slice(TensorHandle Handle) const {
-    assert(Handle.Index < Handles.size() && "invalid tensor handle");
-    return Handles[Handle.Index];
+    assert(Handle.Index < Tables.Handles.size() && "invalid tensor handle");
+    return Tables.Handles[Handle.Index].first;
   }
   Privilege priv(TensorHandle Handle) const {
-    assert(Handle.Index < HandlePrivs.size() && "invalid tensor handle");
-    return HandlePrivs[Handle.Index];
+    assert(Handle.Index < Tables.Handles.size() && "invalid tensor handle");
+    return Tables.Handles[Handle.Index].second;
   }
 
 private:
+  PartitionHandle addPart(PartitionId Id, TensorHandle Base) {
+    Tables.Parts.emplace_back(Id, priv(Base));
+    return {static_cast<uint32_t>(Tables.Parts.size() - 1)};
+  }
+
   Analysis &A;
   const TaskMapping &Instance;
-  const TaskVariant &Variant;
-  std::vector<TensorSlice> Handles;
-  std::vector<Privilege> HandlePrivs;
-  std::vector<PartitionId> Parts;
-  std::vector<Privilege> PartPrivs;
-  std::vector<ScalarExpr> Scalars; ///< Launch-time scalar arguments.
+  ScalarExprs Scalars; ///< Launch-time scalar arguments (caller-owned).
+  ContextTables &Tables;
   Shape ShapeCache; ///< Backing storage for shapeOf's returned reference.
 };
 
@@ -261,29 +290,22 @@ public:
   /// tensor lives further out (the enclosing loop op then carries the
   /// dependence, per Figure 8's for-loop wiring).
   void appendReadDeps(TensorId Tensor, std::vector<EventRef> &Deps) {
-    Scope &S = scope();
-    TensorState *State = S.find(Tensor);
-    if (!State || !State->Local)
-      S.get(Tensor).ExtRead = true;
-    // get() may have created the slot; re-find for the dependence check.
-    State = S.find(Tensor);
-    if (State && State->HasWrite)
-      Deps.push_back(State->LastWrite);
+    TensorState &State = scope().get(Tensor);
+    if (!State.Local)
+      State.ExtRead = true;
+    if (State.HasWrite)
+      Deps.push_back(State.LastWrite);
   }
 
   /// Dependencies for writing \p Tensor (RAW on the last writer plus WAR on
   /// all readers since), appended onto \p Deps.
   void appendWriteDeps(TensorId Tensor, std::vector<EventRef> &Deps) {
-    Scope &S = scope();
-    TensorState *State = S.find(Tensor);
-    if (!State || !State->Local)
-      S.get(Tensor).ExtWritten = true;
-    State = S.find(Tensor);
-    if (!State)
-      return;
-    if (State->HasWrite)
-      Deps.push_back(State->LastWrite);
-    for (const EventRef &R : State->Reads)
+    TensorState &State = scope().get(Tensor);
+    if (!State.Local)
+      State.ExtWritten = true;
+    if (State.HasWrite)
+      Deps.push_back(State.LastWrite);
+    for (const EventRef &R : State.Reads)
       Deps.push_back(R);
   }
 
@@ -332,7 +354,7 @@ public:
   /// pushes the external-use summary for the loop op's dependence wiring
   /// onto the pooled ExternalStack in first-use order (finishLoop re-sorts
   /// by tensor id) and returns the base index of this loop's entries.
-  size_t withLoopScope(IRBlock &Into, const std::function<void()> &Body) {
+  size_t withLoopScope(IRBlock &Into, FunctionRef<void()> Body) {
     Scope &Inner = Stack.push();
     Blocks.push_back(&Into);
     Body();
@@ -409,9 +431,8 @@ public:
   //===--- Launch lowering -------------------------------------------------===//
 
   void recordLaunch(AnalysisContext &Caller, const TaskMapping &CallerInst,
-                    const std::string &Task,
-                    const std::vector<TensorHandle> &Args,
-                    std::vector<ScalarExpr> Scalars);
+                    const std::string &Task, TensorHandles Args,
+                    ScalarExprs Scalars);
 
   /// Extent of the innermost pipelined enclosing loop (1 when none).
   int64_t currentPipelineDepth() const { return PipelineStack.back(); }
@@ -445,13 +466,13 @@ public:
 
 const Shape &AnalysisContext::shapeOf(TensorHandle Handle) {
   static Shape Empty;
-  if (Handle.Index >= Handles.size()) {
+  if (Handle.Index >= Tables.Handles.size()) {
     A.fail("invalid tensor handle passed to shapeOf");
     return Empty;
   }
   // Shapes are concrete: slice shapes of symbolic colors are the uniform
   // tile shape (see IRModule::sliceShape).
-  ShapeCache = A.module().sliceShape(Handles[Handle.Index]);
+  ShapeCache = A.module().sliceShape(slice(Handle));
   return ShapeCache;
 }
 
@@ -509,9 +530,7 @@ PartitionHandle AnalysisContext::partitionByBlocks(TensorHandle Tensor,
   Operation &Op = A.emit(OpKind::MakePart);
   Op.Part = Id;
   Op.ExecProc = Instance.Proc;
-  Parts.push_back(Id);
-  PartPrivs.push_back(priv(Tensor));
-  return {static_cast<uint32_t>(Parts.size() - 1)};
+  return addPart(Id, Tensor);
 }
 
 PartitionHandle AnalysisContext::partitionByMma(TensorHandle Tensor,
@@ -533,34 +552,29 @@ PartitionHandle AnalysisContext::partitionByMma(TensorHandle Tensor,
   Operation &Op = A.emit(OpKind::MakePart);
   Op.Part = Id;
   Op.ExecProc = Instance.Proc;
-  Parts.push_back(Id);
-  PartPrivs.push_back(priv(Tensor));
-  return {static_cast<uint32_t>(Parts.size() - 1)};
+  return addPart(Id, Tensor);
 }
 
-TensorHandle AnalysisContext::index(PartitionHandle Part,
-                                    std::vector<ScalarExpr> Color) {
-  if (Part.Index >= Parts.size()) {
+TensorHandle AnalysisContext::index(PartitionHandle Part, ScalarExprs Color) {
+  if (Part.Index >= Tables.Parts.size()) {
     A.fail("invalid partition handle passed to index");
     return {};
   }
-  PartitionId Id = Parts[Part.Index];
-  const IRPartition &P = A.module().partition(Id);
-  TensorSlice Slice =
-      TensorSlice::piece(P.Base.Tensor, Id, std::move(Color));
-  Handles.push_back(std::move(Slice));
-  HandlePrivs.push_back(PartPrivs[Part.Index]);
-  return {static_cast<uint32_t>(Handles.size() - 1)};
+  auto [Id, Priv] = Tables.Parts[Part.Index];
+  TensorSlice Slice;
+  Slice.Tensor = A.module().partition(Id).Base.Tensor;
+  Slice.Part = Id;
+  Slice.Color.assign(Color.begin(), Color.end());
+  return bindParam(std::move(Slice), Priv);
 }
 
-void AnalysisContext::launch(const std::string &Task,
-                             std::vector<TensorHandle> Args,
-                             std::vector<ScalarExpr> Scalars) {
-  A.recordLaunch(*this, Instance, Task, Args, std::move(Scalars));
+void AnalysisContext::launch(const std::string &Task, TensorHandles Args,
+                             ScalarExprs Scalars) {
+  A.recordLaunch(*this, Instance, Task, Args, Scalars);
 }
 
 void AnalysisContext::srange(ScalarExpr Extent,
-                             const std::function<void(ScalarExpr)> &Body) {
+                             FunctionRef<void(ScalarExpr)> Body) {
   if (A.failed())
     return;
   Operation &Loop = A.emit(OpKind::For);
@@ -593,9 +607,8 @@ void AnalysisContext::srange(ScalarExpr Extent,
   A.finishLoop(Loop, External, EventRef::unit(Loop.Result));
 }
 
-void AnalysisContext::prange(
-    std::vector<ScalarExpr> Extents,
-    const std::function<void(std::vector<ScalarExpr>)> &Body) {
+void AnalysisContext::prange(ScalarExprs Extents,
+                             FunctionRef<void(ScalarExprs)> Body) {
   if (A.failed())
     return;
   // Linearize the (possibly multi-dimensional) domain; all extents must be
@@ -621,8 +634,10 @@ void AnalysisContext::prange(
   Loop.ExecProc = Instance.Proc;
 
   // Row-major delinearization of the linear induction variable.
-  std::vector<ScalarExpr> Indices(Dims.size());
   ScalarExpr Rest = ScalarExpr::loopVar(Var, Loop.LoopVarName);
+  InlineVector<ScalarExpr, 4> Indices;
+  for (size_t I = 0; I < Dims.size(); ++I)
+    Indices.push_back(Rest); // Sized; overwritten below.
   for (unsigned I = Dims.size(); I-- > 0;) {
     if (I == 0) {
       Indices[0] = Rest;
@@ -637,7 +652,7 @@ void AnalysisContext::prange(
   A.PrangeChildProc.reset();
   A.PrangeChildWarpSpec = false;
   size_t External =
-      A.withLoopScope(Loop.Body, [&] { Body(std::move(Indices)); });
+      A.withLoopScope(Loop.Body, [&] { Body(Indices); });
   if (!A.PrangeChildProc) {
     A.fail("prange body launched no tasks; cannot infer processor level");
     return;
@@ -675,9 +690,8 @@ void AnalysisContext::prange(
 
 void Analysis::recordLaunch(AnalysisContext &Caller,
                             const TaskMapping &CallerInst,
-                            const std::string &Task,
-                            const std::vector<TensorHandle> &Args,
-                            std::vector<ScalarExpr> Scalars) {
+                            const std::string &Task, TensorHandles Args,
+                            ScalarExprs Scalars) {
   if (failed())
     return;
   const TaskRegistry &Registry = *Input.Registry;
@@ -798,7 +812,7 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
     Call.Callee = Variant.Leaf.Function;
     Call.Unit = Variant.Leaf.Unit;
     Call.ExecProc = Child.Proc;
-    Call.ScalarArgs = std::move(Scalars);
+    Call.ScalarArgs.assign(Scalars.begin(), Scalars.end());
     Call.Args.reserve(Args.size());
     Call.ArgIsWritten.reserve(Args.size());
     for (size_t I = 0, E = Args.size(); I != E; ++I) {
@@ -829,13 +843,12 @@ void Analysis::recordLaunch(AnalysisContext &Caller,
         recordRead(Fresh[I], EventRef::unit(Call.Result));
     }
   } else {
-    AnalysisContext ChildCtx(*this, Child, Variant, std::move(Scalars));
-    std::vector<TensorHandle> Params;
-    Params.reserve(Args.size());
+    AnalysisContext ChildCtx(*this, Child, Scalars);
+    InlineVector<TensorHandle, 8> Params;
     for (size_t I = 0, E = Args.size(); I != E; ++I)
       Params.push_back(ChildCtx.bindParam(TensorSlice::whole(Fresh[I]),
                                           Variant.Params[I].Priv));
-    Variant.Body(ChildCtx, std::move(Params));
+    Variant.Body(ChildCtx, Params);
     if (failed())
       return;
   }
@@ -886,8 +899,8 @@ ErrorOr<IRModule> Analysis::run() {
   Stack.push();
   Blocks.push_back(&Module.root());
 
-  AnalysisContext Ctx(*this, Entry, Variant);
-  std::vector<TensorHandle> Params;
+  AnalysisContext Ctx(*this, Entry);
+  InlineVector<TensorHandle, 8> Params;
   for (size_t I = 0, E = Variant.Params.size(); I != E; ++I) {
     Memory Mem = Entry.Mems[I];
     TensorId Id = Module.addTensor(Variant.Params[I].Name,
@@ -901,16 +914,15 @@ ErrorOr<IRModule> Analysis::run() {
                                    Variant.Params[I].Priv));
   }
 
-  Variant.Body(Ctx, std::move(Params));
+  Variant.Body(Ctx, Params);
 
   Blocks.pop_back();
   Stack.pop();
 
+  // No verifyModule here: the pipeline verifies this pass's output in
+  // every configuration (see DependenceAnalysisPass).
   if (std::optional<Diagnostic> Failed = takeFailure())
     return *Failed;
-
-  if (ErrorOrVoid Valid = verifyModule(Module); !Valid)
-    return Valid.diagnostic();
   return std::move(Module);
 }
 
@@ -923,13 +935,24 @@ ErrorOr<IRModule> cypress::runDependenceAnalysis(const CompileInput &Input) {
   return A.run();
 }
 
+namespace {
+/// Builds the module from the user's task bodies. Its output is the only
+/// one no earlier check covers, so the pipeline verifies it even when
+/// per-pass verification is off.
+class DependenceAnalysisPass : public Pass {
+public:
+  const char *name() const override { return "dependence-analysis"; }
+  bool verifyAlways() const override { return true; }
+  ErrorOrVoid run(PipelineState &State) override {
+    ErrorOr<IRModule> Module = runDependenceAnalysis(*State.Input);
+    if (!Module)
+      return Module.diagnostic();
+    State.Module = std::move(*Module);
+    return ErrorOrVoid::success();
+  }
+};
+} // namespace
+
 std::unique_ptr<Pass> cypress::createDependenceAnalysisPass() {
-  return std::make_unique<FunctionPass>(
-      "dependence-analysis", [](PipelineState &State) -> ErrorOrVoid {
-        ErrorOr<IRModule> Module = runDependenceAnalysis(*State.Input);
-        if (!Module)
-          return Module.diagnostic();
-        State.Module = std::move(*Module);
-        return ErrorOrVoid::success();
-      });
+  return std::make_unique<DependenceAnalysisPass>();
 }

@@ -96,6 +96,11 @@ public:
   /// that a later registered pass restores (resource allocation's WAR edges
   /// may cross loop scopes until repair-event-scopes runs).
   virtual bool verifyAfter() const { return true; }
+
+  /// True for a pass whose output the pipeline verifies even when
+  /// per-pass verification is off (dependence analysis: it alone turns
+  /// user code, the inner task bodies, into IR).
+  virtual bool verifyAlways() const { return false; }
 };
 
 /// A pass defined by a name and a callable; enough for every builtin stage
@@ -132,7 +137,8 @@ public:
   const Pass &pass(size_t I) const { return *Passes[I]; }
 
   /// Run verifyModule after every pass (on by default; turn off for
-  /// release/serving builds where throughput matters).
+  /// release/serving builds where throughput matters). Passes whose
+  /// verifyAlways() holds are verified either way.
   void setVerifyEachPass(bool Enable) { VerifyEachPass = Enable; }
   bool verifyEachPass() const { return VerifyEachPass; }
 

@@ -47,7 +47,8 @@ struct CompileInput {
 /// Stage 1 (Section 4.2.1): interprets the instantiated task tree under the
 /// mapping, enforcing privileges, inserting copy-in/copy-out data movement,
 /// and chaining events to encode all true and anti dependencies. Produces
-/// the event IR of Figure 8.
+/// the event IR of Figure 8, unverified: PassPipeline verifies it after
+/// the pass in every configuration.
 ErrorOr<IRModule> runDependenceAnalysis(const CompileInput &Input);
 
 /// Stage 2 (Section 4.2.2): flattens the implicit intra-block parallel

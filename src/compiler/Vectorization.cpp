@@ -81,8 +81,11 @@ void substituteInPartitions(IRModule &Module, LoopVarId Var,
 /// per compile, and tuner sweeps compile back to back.
 struct VectScratch {
   std::vector<EventId> BodyEvents;
-  std::vector<EventDim> Inner;
 };
+
+/// The flattened parallel context of an op, outermost first: at most the
+/// three intra-block levels, so it lives inline like Operation::VecContext.
+using DimStack = InlineVector<EventDim, 4>;
 
 VectScratch &vectScratch() {
   thread_local VectScratch Scratch;
@@ -95,7 +98,7 @@ public:
       : Module(Module), Machine(Machine), S(vectScratch()) {}
 
   ErrorOrVoid run() {
-    std::vector<EventDim> Context;
+    DimStack Context;
     processBlock(Module.root(), Context);
     if (Failure)
       return *Failure;
@@ -112,7 +115,7 @@ private:
   /// Recursively vectorizes \p Block. \p Context is the flattened parallel
   /// context accumulated so far (outermost first); it is mutated push/pop
   /// style around recursion instead of copied per block.
-  void processBlock(IRBlock &Block, std::vector<EventDim> &Context) {
+  void processBlock(IRBlock &Block, DimStack &Context) {
     // Deepest-first: vectorize inside loop bodies before flattening here.
     for (std::unique_ptr<Operation> &Op : Block.Ops) {
       if (Op->Kind == OpKind::For) {
@@ -143,16 +146,15 @@ private:
     }
   }
 
-  void appendContext(Operation &Op, const std::vector<EventDim> &Context) {
+  void appendContext(Operation &Op, const DimStack &Context) {
     // Record the enclosing flattened dims once (outermost first); avoid
     // double-stamping ops already annotated via nested processing.
     if (Op.VecContext.empty())
-      Op.VecContext.assign(Context.begin(), Context.end());
+      Op.VecContext = Context;
   }
 
   /// Flattens the pfor at Block.Ops[Index].
-  void flattenPFor(IRBlock &Block, size_t Index,
-                   const std::vector<EventDim> &Context) {
+  void flattenPFor(IRBlock &Block, size_t Index, const DimStack &Context) {
     std::unique_ptr<Operation> Loop = std::move(Block.Ops[Index]);
     Block.Ops.erase(Block.Ops.begin() + static_cast<long>(Index));
 
@@ -216,22 +218,23 @@ private:
     // Splice the body into the parent, annotating the flattened context.
     // Annotate first, then insert the whole body with one tail shift
     // (per-op inserts would shift the parent's tail once per body op).
-    std::vector<EventDim> &Inner = S.Inner;
-    Inner.assign(Context.begin(), Context.end());
+    DimStack Inner = Context;
     Inner.push_back(NewDim);
     for (std::unique_ptr<Operation> &Op : Loop->Body.Ops) {
       // Entry ops (no intra-body precondition) inherit the loop's
-      // preconditions.
-      if (opHasNoPrecondIn(*Op, BodyEvents))
-        for (const EventRef &Pre : Loop->Preconds)
-          Op->Preconds.push_back(Pre);
+      // preconditions, in one exact growth.
+      if (opHasNoPrecondIn(*Op, BodyEvents)) {
+        Op->Preconds.reserve(Op->Preconds.size() + Loop->Preconds.size());
+        Op->Preconds.insert(Op->Preconds.end(), Loop->Preconds.begin(),
+                            Loop->Preconds.end());
+      }
       if (Op->Kind == OpKind::PFor) {
         // Remaining pfors are grid-level only; they cannot appear under an
         // implicit level.
         fail("block-level pfor nested inside an implicit parallel loop");
         return;
       }
-      Op->VecContext.assign(Inner.begin(), Inner.end());
+      Op->VecContext = Inner;
       if (Op->Kind == OpKind::For)
         stampContext(Op->Body, Inner);
     }
@@ -240,9 +243,9 @@ private:
                      std::make_move_iterator(Loop->Body.Ops.end()));
   }
 
-  void stampContext(IRBlock &Block, const std::vector<EventDim> &Context) {
+  void stampContext(IRBlock &Block, const DimStack &Context) {
     for (std::unique_ptr<Operation> &Op : Block.Ops) {
-      Op->VecContext.assign(Context.begin(), Context.end());
+      Op->VecContext = Context;
       if (Op->Kind == OpKind::For)
         stampContext(Op->Body, Context);
     }
@@ -305,11 +308,12 @@ private:
 
   void dropRefsTo(IRBlock &Block, EventId Event) {
     for (std::unique_ptr<Operation> &Op : Block.Ops) {
-      std::vector<EventRef> Kept;
-      for (EventRef &Ref : Op->Preconds)
-        if (Ref.Event != Event)
-          Kept.push_back(std::move(Ref));
-      Op->Preconds = std::move(Kept);
+      Op->Preconds.erase(std::remove_if(Op->Preconds.begin(),
+                                        Op->Preconds.end(),
+                                        [Event](const EventRef &Ref) {
+                                          return Ref.Event == Event;
+                                        }),
+                         Op->Preconds.end());
       if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor)
         dropRefsTo(Op->Body, Event);
     }

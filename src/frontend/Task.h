@@ -24,6 +24,7 @@
 
 #include "ir/IR.h"
 #include "machine/Machine.h"
+#include "support/ArrayView.h"
 #include "support/Hash.h"
 #include "tensor/Partition.h"
 #include "tensor/Shape.h"
@@ -79,11 +80,16 @@ struct PartitionHandle {
 
 class InnerContext;
 
+/// The tensor arguments of a task body or launch (a view: bodies index it
+/// and may pass it on, but must not keep it past their own return).
+using TensorHandles = ArrayView<TensorHandle>;
+/// Scalar arguments, partition colors, and loop indices, viewed likewise.
+using ScalarExprs = ArrayView<ScalarExpr>;
+
 /// Body of an inner task variant: records partitions and sub-task launches
 /// against the context. Invoked once per mapped instantiation with symbolic
 /// loop indices, so bodies must be deterministic straight-line recorders.
-using InnerBody =
-    std::function<void(InnerContext &Ctx, std::vector<TensorHandle> Args)>;
+using InnerBody = std::function<void(InnerContext &Ctx, TensorHandles Args)>;
 
 /// Description of a leaf variant's external computation.
 struct LeafInfo {
@@ -156,6 +162,12 @@ public:
     return Variants.count(Variant) != 0;
   }
   const TaskVariant &variant(const std::string &Variant) const;
+  /// The named variant, or nullptr: one lookup where callers would
+  /// otherwise pair hasVariant with variant.
+  const TaskVariant *findVariant(const std::string &Variant) const {
+    auto It = Variants.find(Variant);
+    return It == Variants.end() ? nullptr : &It->second;
+  }
 
   /// All variants implementing \p Task.
   std::vector<std::string> variantsOf(const std::string &Task) const;
@@ -210,7 +222,7 @@ public:
   /// Scalar arguments this task instance was launched with (forwarded to
   /// sub-launches explicitly; e.g. the softmax scale threading through the
   /// attention task tree).
-  virtual const std::vector<ScalarExpr> &scalarArgs() = 0;
+  virtual ScalarExprs scalarArgs() = 0;
 
   //===--- Data decomposition --------------------------------------------===//
 
@@ -229,28 +241,25 @@ public:
                                          MmaOperand Operand) = 0;
 
   /// Selects piece \p Color of a partition (the indexing operator).
-  virtual TensorHandle index(PartitionHandle Part,
-                             std::vector<ScalarExpr> Color) = 0;
+  virtual TensorHandle index(PartitionHandle Part, ScalarExprs Color) = 0;
 
   //===--- Task launches --------------------------------------------------===//
 
-  /// Inline launch of a single sub-task.
-  virtual void launch(const std::string &Task,
-                      std::vector<TensorHandle> Args,
-                      std::vector<ScalarExpr> Scalars = {}) = 0;
+  /// Inline launch of a single sub-task. The callee is traversed before
+  /// launch returns, so braced argument lists need no storage of their own.
+  virtual void launch(const std::string &Task, TensorHandles Args,
+                      ScalarExprs Scalars = {}) = 0;
 
   /// Sequential group launch: body invoked once with a symbolic induction
   /// variable ranging over [0, Extent).
-  virtual void srange(ScalarExpr Extent,
-                      const std::function<void(ScalarExpr)> &Body) = 0;
+  virtual void srange(ScalarExpr Extent, FunctionRef<void(ScalarExpr)> Body) = 0;
 
   /// Parallel group launch over a (possibly multi-dimensional) domain; the
   /// body sees one symbolic index per dimension. Launched tasks must not
   /// perform aliasing writes (sequential semantics are preserved either
   /// way; the compiler checks partition disjointness where it can).
-  virtual void prange(std::vector<ScalarExpr> Extents,
-                      const std::function<void(std::vector<ScalarExpr>)>
-                          &Body) = 0;
+  virtual void prange(ScalarExprs Extents,
+                      FunctionRef<void(ScalarExprs)> Body) = 0;
 };
 
 /// Ceiling-division helper matching the paper's `cdiv`.

@@ -24,6 +24,7 @@
 #include "tensor/Partition.h"
 #include "tensor/Shape.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -129,10 +130,15 @@ struct EventDim {
 
 /// `et ::= () | (N, p) list` of Figure 7.
 struct EventType {
-  std::vector<EventDim> Dims;
+  /// Inline up to rank 4 (a grid dimension plus the three flattened
+  /// intra-block levels): vectorization prepends a dimension per level.
+  InlineVector<EventDim, 4> Dims;
 
   bool isUnit() const { return Dims.empty(); }
-  bool operator==(const EventType &Other) const { return Dims == Other.Dims; }
+  bool operator==(const EventType &Other) const {
+    return Dims.size() == Other.Dims.size() &&
+           std::equal(Dims.begin(), Dims.end(), Other.Dims.begin());
+  }
 };
 
 /// An event definition. Events are defined by asynchronous operations and by
@@ -146,19 +152,20 @@ struct IREvent {
 };
 
 /// One index into an event array: an expression or the broadcast `[:]`.
+/// A broadcast holds the null expression handle, so an index is one
+/// pointer wide and an EventRef fits a cache line; read Index only after
+/// isBroadcast() says it is an expression.
 struct EventIndex {
-  enum class Kind : uint8_t { Expr, Broadcast } IKind = Kind::Broadcast;
-  ScalarExpr Index;
+  ScalarExpr Index = ScalarExpr::null();
 
   static EventIndex expr(ScalarExpr E) {
     EventIndex Result;
-    Result.IKind = Kind::Expr;
     Result.Index = std::move(E);
     return Result;
   }
   static EventIndex broadcast() { return EventIndex(); }
 
-  bool isBroadcast() const { return IKind == Kind::Broadcast; }
+  bool isBroadcast() const { return Index.handle() == nullptr; }
 };
 
 /// `ev ::= x | ev[ei]` — a use of an event, fully indexed.

@@ -127,6 +127,10 @@ public:
   const void *handle() const { return Node; }
 
 private:
+  friend struct EventIndex;
+  /// The null handle: EventIndex's broadcast marker, never an expression.
+  static ScalarExpr null() { return wrap(nullptr); }
+
   struct FromNode {};
   ScalarExpr(FromNode, const detail::ScalarNode *Node) : Node(Node) {}
   /// Wraps an interned node (disambiguated from the int64_t constructor,

@@ -67,10 +67,11 @@ void addRowSplitTask(TaskRegistry &Registry, const std::string &Task,
                      std::vector<bool> SplitArg) {
   Registry.addInner(
       Task, Variant, Params,
-      [Child, SplitArg](InnerContext &Ctx,
-                        std::vector<TensorHandle> Args) {
+      [Child, SplitArg](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
-        std::vector<PartitionHandle> Parts(Args.size());
+        InlineVector<PartitionHandle, 8> Parts;
+        for (size_t I = 0; I < Args.size(); ++I)
+          Parts.push_back(PartitionHandle());
         for (size_t I = 0; I < Args.size(); ++I) {
           if (!SplitArg[I])
             continue;
@@ -84,8 +85,8 @@ void addRowSplitTask(TaskRegistry &Registry, const std::string &Task,
                                              Shape({S.dim(0) / Wgs}));
           }
         }
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
-          std::vector<TensorHandle> Pieces;
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
+          InlineVector<TensorHandle, 8> Pieces;
           for (size_t A = 0; A < Args.size(); ++A) {
             if (!SplitArg[A]) {
               Pieces.push_back(Args[A]);
@@ -245,7 +246,7 @@ void cypress::registerAttentionTasks(TaskRegistry &Registry) {
   // fa_host: one block per 192-row query band; K/V panels per head.
   Registry.addInner(
       "fa", "fa_host", {OW, QR, KR, VR},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t BR = Ctx.tunable("BR");
         int64_t S = Ctx.tunable("S");
         const Shape &O = Ctx.shapeOf(Args[0]);
@@ -254,7 +255,7 @@ void cypress::registerAttentionTasks(TaskRegistry &Registry) {
         PartitionHandle Qp = Ctx.partitionByBlocks(Args[1], Shape({BR, D}));
         PartitionHandle Kp = Ctx.partitionByBlocks(Args[2], Shape({S, D}));
         PartitionHandle Vp = Ctx.partitionByBlocks(Args[3], Shape({S, D}));
-        Ctx.prange({ScalarExpr(Rows / BR)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Rows / BR)}, [&](ScalarExprs I) {
           ScalarExpr Head = I[0].floorDiv(ScalarExpr(S / BR));
           Ctx.launch("fa", {Ctx.index(Op, {I[0], ScalarExpr(0)}),
                             Ctx.index(Qp, {I[0], ScalarExpr(0)}),
@@ -264,7 +265,7 @@ void cypress::registerAttentionTasks(TaskRegistry &Registry) {
       });
 
   // The FA2 main loop (per block): S = Q.K^T; online softmax; O += P.V.
-  auto Fa2Body = [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+  auto Fa2Body = [](InnerContext &Ctx, TensorHandles Args) {
     int64_t BC = Ctx.tunable("BC");
     const Shape &O = Ctx.shapeOf(Args[0]);
     int64_t BR = O.dim(0), D = O.dim(1);
@@ -295,7 +296,7 @@ void cypress::registerAttentionTasks(TaskRegistry &Registry) {
 
   // The FA3 restructuring: stage the scores so the next Q.K^T overlaps the
   // current softmax (Section 5.3's pipelined main loop).
-  auto Fa3Body = [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+  auto Fa3Body = [](InnerContext &Ctx, TensorHandles Args) {
     int64_t BC = Ctx.tunable("BC");
     const Shape &O = Ctx.shapeOf(Args[0]);
     int64_t BR = O.dim(0), D = O.dim(1);
@@ -341,7 +342,7 @@ void cypress::registerAttentionTasks(TaskRegistry &Registry) {
       {{"O", 2, ElementType::F32, Privilege::Write},
        {"Mx", 1, ElementType::F32, Privilege::Write},
        {"L", 1, ElementType::F32, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         Ctx.launch("clear", {Args[0]});
         Ctx.launch("smx_init", {Args[1], Args[2]});
       });
@@ -411,7 +412,7 @@ void cypress::registerAttentionTasks(TaskRegistry &Registry) {
       {{"O", 2, ElementType::F16, Privilege::Write},
        {"Acc", 2, ElementType::F32, Privilege::ReadWrite},
        {"L", 1, ElementType::F32, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         Ctx.launch("smx_fin", {Args[1], Args[2]});
         Ctx.launch("store", {Args[0], Args[1]});
       });

@@ -53,13 +53,13 @@ void registerCommonTasks(TaskRegistry &Registry) {
   Registry.addInner(
       "clear", "clear_block",
       {{"C", 2, ElementType::F32, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
         PartitionHandle Cp =
             Ctx.partitionByBlocks(Args[0], Shape({M / Wgs, N}));
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
           Ctx.launch("clear", {Ctx.index(Cp, {I[0], ScalarExpr(0)})});
         });
       });
@@ -73,7 +73,7 @@ void registerCommonTasks(TaskRegistry &Registry) {
       "store", "store_block",
       {{"C", 2, ElementType::F16, Privilege::Write},
        {"Src", 2, ElementType::F32, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -81,7 +81,7 @@ void registerCommonTasks(TaskRegistry &Registry) {
             Ctx.partitionByBlocks(Args[0], Shape({M / Wgs, N}));
         PartitionHandle Sp =
             Ctx.partitionByBlocks(Args[1], Shape({M / Wgs, N}));
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
           Ctx.launch("store", {Ctx.index(Cp, {I[0], ScalarExpr(0)}),
                                Ctx.index(Sp, {I[0], ScalarExpr(0)})});
         });
@@ -149,7 +149,7 @@ void cypress::registerGemmTasks(TaskRegistry &Registry) {
       {{"C", 2, ElementType::F16, Privilege::Write},
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t U = Ctx.tunable("U"), V = Ctx.tunable("V");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -158,7 +158,7 @@ void cypress::registerGemmTasks(TaskRegistry &Registry) {
         PartitionHandle Ap = Ctx.partitionByBlocks(Args[1], Shape({U, K}));
         PartitionHandle Bp = Ctx.partitionByBlocks(Args[2], Shape({K, V}));
         Ctx.prange({ScalarExpr(M / U), ScalarExpr(N / V)},
-                   [&](std::vector<ScalarExpr> I) {
+                   [&](ScalarExprs I) {
                      Ctx.launch("gemm",
                                 {Ctx.index(Cp, {I[0], I[1]}),
                                  Ctx.index(Ap, {I[0], ScalarExpr(0)}),
@@ -172,7 +172,7 @@ void cypress::registerGemmTasks(TaskRegistry &Registry) {
       {{"C", 2, ElementType::F16, Privilege::Write},
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t W = Ctx.tunable("W");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -196,7 +196,7 @@ void cypress::registerGemmTasks(TaskRegistry &Registry) {
       {{"C", 2, ElementType::F32, Privilege::ReadWrite},
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -205,7 +205,7 @@ void cypress::registerGemmTasks(TaskRegistry &Registry) {
             Ctx.partitionByBlocks(Args[0], Shape({M / Wgs, N}));
         PartitionHandle Ap =
             Ctx.partitionByBlocks(Args[1], Shape({M / Wgs, K}));
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
           Ctx.launch("gemm", {Ctx.index(Cp, {I[0], ScalarExpr(0)}),
                               Ctx.index(Ap, {I[0], ScalarExpr(0)}),
                               Args[2]});
@@ -418,7 +418,7 @@ void cypress::registerBatchedGemmTasks(TaskRegistry &Registry) {
       {{"C", 2, ElementType::F16, Privilege::Write},
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t U = Ctx.tunable("U"), V = Ctx.tunable("V");
         int64_t L = Ctx.tunable("L");
         const Shape &C = Ctx.shapeOf(Args[0]);
@@ -430,7 +430,7 @@ void cypress::registerBatchedGemmTasks(TaskRegistry &Registry) {
         PartitionHandle Bp = Ctx.partitionByBlocks(Args[2], Shape({K, V}));
         Ctx.prange(
             {ScalarExpr(LM / U), ScalarExpr(N / V)},
-            [&](std::vector<ScalarExpr> I) {
+            [&](ScalarExprs I) {
               ScalarExpr Batch = I[0].floorDiv(ScalarExpr(M / U));
               Ctx.launch("gemm", {Ctx.index(Cp, {I[0], I[1]}),
                                   Ctx.index(Ap, {I[0], ScalarExpr(0)}),
@@ -475,7 +475,7 @@ void cypress::registerDualGemmTasks(TaskRegistry &Registry) {
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B1", 2, ElementType::F16, Privilege::Read},
        {"B2", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t U = Ctx.tunable("U"), V = Ctx.tunable("V");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -485,7 +485,7 @@ void cypress::registerDualGemmTasks(TaskRegistry &Registry) {
         PartitionHandle B1p = Ctx.partitionByBlocks(Args[2], Shape({K, V}));
         PartitionHandle B2p = Ctx.partitionByBlocks(Args[3], Shape({K, V}));
         Ctx.prange({ScalarExpr(M / U), ScalarExpr(N / V)},
-                   [&](std::vector<ScalarExpr> I) {
+                   [&](ScalarExprs I) {
                      Ctx.launch("dual",
                                 {Ctx.index(Cp, {I[0], I[1]}),
                                  Ctx.index(Ap, {I[0], ScalarExpr(0)}),
@@ -500,7 +500,7 @@ void cypress::registerDualGemmTasks(TaskRegistry &Registry) {
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B1", 2, ElementType::F16, Privilege::Read},
        {"B2", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t W = Ctx.tunable("W");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -525,7 +525,7 @@ void cypress::registerDualGemmTasks(TaskRegistry &Registry) {
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B1", 2, ElementType::F16, Privilege::Read},
        {"B2", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -534,7 +534,7 @@ void cypress::registerDualGemmTasks(TaskRegistry &Registry) {
             Ctx.partitionByBlocks(Args[0], Shape({M / Wgs, N}));
         PartitionHandle Ap =
             Ctx.partitionByBlocks(Args[1], Shape({M / Wgs, K}));
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
           Ctx.launch("dual", {Ctx.index(Cp, {I[0], ScalarExpr(0)}),
                               Ctx.index(Ap, {I[0], ScalarExpr(0)}),
                               Args[2], Args[3]});
@@ -633,7 +633,7 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read},
        {"Y", 2, ElementType::F32, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t U = Ctx.tunable("U"), V = Ctx.tunable("V");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -643,7 +643,7 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
         PartitionHandle Bp = Ctx.partitionByBlocks(Args[2], Shape({K, V}));
         PartitionHandle Yp = Ctx.partitionByBlocks(Args[3], Shape({1, U}));
         Ctx.prange({ScalarExpr(M / U), ScalarExpr(N / V)},
-                   [&](std::vector<ScalarExpr> I) {
+                   [&](ScalarExprs I) {
                      Ctx.launch("gemmred",
                                 {Ctx.index(Cp, {I[0], I[1]}),
                                  Ctx.index(Ap, {I[0], ScalarExpr(0)}),
@@ -658,7 +658,7 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read},
        {"Y", 2, ElementType::F32, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t W = Ctx.tunable("W");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -686,7 +686,7 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
        {"Y", 2, ElementType::F32, Privilege::ReadWrite},
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
         const Shape &C = Ctx.shapeOf(Args[0]);
         int64_t M = C.dim(0), N = C.dim(1);
@@ -697,7 +697,7 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
             Ctx.partitionByBlocks(Args[1], Shape({1, M / Wgs}));
         PartitionHandle Ap =
             Ctx.partitionByBlocks(Args[2], Shape({M / Wgs, K}));
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
           Ctx.launch("gemmred_wg",
                      {Ctx.index(Cp, {I[0], ScalarExpr(0)}),
                       Ctx.index(Yp, {ScalarExpr(0), I[0]}),
@@ -715,7 +715,7 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
        {"Y", 2, ElementType::F32, Privilege::ReadWrite},
        {"A", 2, ElementType::F16, Privilege::Read},
        {"B", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         Ctx.launch("gemm", {Args[0], Args[2], Args[3]});
         Ctx.launch("rowsum", {Args[1], Args[2]});
       });
@@ -733,12 +733,12 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
   Registry.addInner(
       "clear_row", "clear_row_block",
       {{"Y", 2, ElementType::F32, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
         int64_t M = Ctx.shapeOf(Args[0]).dim(1);
         PartitionHandle Yp =
             Ctx.partitionByBlocks(Args[0], Shape({1, M / Wgs}));
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
           Ctx.launch("clear", {Ctx.index(Yp, {ScalarExpr(0), I[0]})});
         });
       });
@@ -747,14 +747,14 @@ void cypress::registerGemmRedTasks(TaskRegistry &Registry) {
       "store_row", "store_row_block",
       {{"Y", 2, ElementType::F32, Privilege::Write},
        {"Src", 2, ElementType::F32, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         int64_t Wgs = Ctx.tunable("WGS");
         int64_t M = Ctx.shapeOf(Args[0]).dim(1);
         PartitionHandle Yp =
             Ctx.partitionByBlocks(Args[0], Shape({1, M / Wgs}));
         PartitionHandle Sp =
             Ctx.partitionByBlocks(Args[1], Shape({1, M / Wgs}));
-        Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+        Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
           Ctx.launch("store_vec", {Ctx.index(Yp, {ScalarExpr(0), I[0]}),
                                    Ctx.index(Sp, {ScalarExpr(0), I[0]})});
         });

@@ -104,16 +104,17 @@ ErrorOr<std::string> MappingSpec::dispatch(const TaskRegistry &Registry,
                                            const TaskMapping &Parent,
                                            const std::string &Task) const {
   for (const std::string &Callee : Parent.Calls) {
-    if (!hasInstance(Callee))
+    const TaskMapping *Child = findInstance(Callee);
+    if (!Child)
       return Diagnostic(formatString(
           "instance %s calls unknown instance %s", Parent.Instance.c_str(),
           Callee.c_str()));
-    const TaskMapping &Child = instance(Callee);
-    if (!Registry.hasVariant(Child.Variant))
+    const TaskVariant *Variant = Registry.findVariant(Child->Variant);
+    if (!Variant)
       return Diagnostic(formatString("instance %s uses unknown variant %s",
-                                     Child.Instance.c_str(),
-                                     Child.Variant.c_str()));
-    if (Registry.variant(Child.Variant).Task == Task)
+                                     Child->Instance.c_str(),
+                                     Child->Variant.c_str()));
+    if (Variant->Task == Task)
       return Callee;
   }
   return Diagnostic(formatString(
@@ -128,11 +129,12 @@ ErrorOrVoid MappingSpec::validate(const TaskRegistry &Registry,
     if (TM.Entrypoint)
       ++EntryCount;
 
-    if (!Registry.hasVariant(TM.Variant))
+    const TaskVariant *Found = Registry.findVariant(TM.Variant);
+    if (!Found)
       return Diagnostic(formatString("instance %s names unknown variant %s",
                                      TM.Instance.c_str(),
                                      TM.Variant.c_str()));
-    const TaskVariant &Variant = Registry.variant(TM.Variant);
+    const TaskVariant &Variant = *Found;
 
     if (!Machine.hasLevel(TM.Proc))
       return Diagnostic(formatString(
@@ -193,19 +195,19 @@ ErrorOrVoid MappingSpec::validate(const TaskRegistry &Registry,
             TM.Instance.c_str(), Param.c_str(), TM.Variant.c_str()));
 
     for (const std::string &Callee : TM.Calls) {
-      if (!hasInstance(Callee))
+      const TaskMapping *Child = findInstance(Callee);
+      if (!Child)
         return Diagnostic(formatString("instance %s calls unknown instance %s",
                                        TM.Instance.c_str(), Callee.c_str()));
-      const TaskMapping &Child = instance(Callee);
-      if (!Registry.hasVariant(Child.Variant))
+      if (!Registry.findVariant(Child->Variant))
         return Diagnostic(formatString("instance %s uses unknown variant %s",
-                                       Child.Instance.c_str(),
-                                       Child.Variant.c_str()));
-      if (Machine.depthOf(Child.Proc) < Machine.depthOf(TM.Proc))
+                                       Child->Instance.c_str(),
+                                       Child->Variant.c_str()));
+      if (Machine.depthOf(Child->Proc) < Machine.depthOf(TM.Proc))
         return Diagnostic(formatString(
             "instance %s (at %s) dispatches outward to %s (at %s)",
             TM.Instance.c_str(), processorName(TM.Proc),
-            Child.Instance.c_str(), processorName(Child.Proc)));
+            Child->Instance.c_str(), processorName(Child->Proc)));
     }
   }
 

@@ -89,6 +89,12 @@ public:
     return Index.count(Name) != 0;
   }
   const TaskMapping &instance(const std::string &Name) const;
+  /// The named instance, or nullptr (one lookup instead of hasInstance
+  /// followed by instance).
+  const TaskMapping *findInstance(const std::string &Name) const {
+    auto It = Index.find(Name);
+    return It == Index.end() ? nullptr : &Instances[It->second];
+  }
 
   /// The unique entrypoint instance.
   const TaskMapping &entrypoint() const;

@@ -76,6 +76,11 @@ public:
 
   void clear() { Sz = 0; }
 
+  void pop_back() {
+    assert(Sz > 0 && "pop_back on an empty vector");
+    --Sz;
+  }
+
   void push_back(const T &Value) {
     grow(Sz + 1);
     data()[Sz++] = Value;

@@ -14,8 +14,12 @@
 #ifndef CYPRESS_TENSOR_SHAPE_H
 #define CYPRESS_TENSOR_SHAPE_H
 
+#include "support/InlineVector.h"
+
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -36,12 +40,20 @@ inline int64_t elementTypeBytes(ElementType Type) {
   return Type == ElementType::F16 ? 2 : 4;
 }
 
-/// A dense, row-major tensor shape.
+/// A dense, row-major tensor shape. Dimensions live inline up to rank 4
+/// (every shipped tensor): the compiler builds a shape for every tensor,
+/// partition and slice it touches, so none of them costs an allocation.
 class Shape {
 public:
+  using DimList = InlineVector<int64_t, 4>;
+
   Shape() = default;
-  Shape(std::initializer_list<int64_t> Dims) : Dims(Dims) { checkDims(); }
-  explicit Shape(std::vector<int64_t> Dims) : Dims(std::move(Dims)) {
+  Shape(std::initializer_list<int64_t> Dims) {
+    this->Dims.assign(Dims.begin(), Dims.end());
+    checkDims();
+  }
+  explicit Shape(const std::vector<int64_t> &Dims) {
+    this->Dims.assign(Dims.begin(), Dims.end());
     checkDims();
   }
 
@@ -50,7 +62,7 @@ public:
     assert(I < Dims.size() && "shape dimension out of range");
     return Dims[I];
   }
-  const std::vector<int64_t> &dims() const { return Dims; }
+  const DimList &dims() const { return Dims; }
 
   int64_t numElements() const {
     int64_t Count = 1;
@@ -80,7 +92,10 @@ public:
     return Index;
   }
 
-  bool operator==(const Shape &Other) const { return Dims == Other.Dims; }
+  bool operator==(const Shape &Other) const {
+    return Dims.size() == Other.Dims.size() &&
+           std::equal(Dims.begin(), Dims.end(), Other.Dims.begin());
+  }
   bool operator!=(const Shape &Other) const { return !(*this == Other); }
 
   std::string toString() const {
@@ -99,7 +114,7 @@ private:
       assert(D > 0 && "shape dimensions must be positive");
   }
 
-  std::vector<int64_t> Dims;
+  DimList Dims;
 };
 
 /// A logical tensor type: shape plus element type.

@@ -33,29 +33,29 @@ struct ClearFixture {
     Registry.addInner(
         "centry", "centry_host",
         {{"C", 2, ElementType::F32, Privilege::Write}},
-        [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
-          Ctx.prange({ScalarExpr(1)}, [&](std::vector<ScalarExpr>) {
+        [](InnerContext &Ctx, TensorHandles Args) {
+          Ctx.prange({ScalarExpr(1)}, [&](ScalarExprs) {
             Ctx.launch("cblk", {Args[0]});
           });
         });
     Registry.addInner(
         "cblk", "cblk_block", {{"C", 2, ElementType::F32, Privilege::Write}},
-        [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+        [](InnerContext &Ctx, TensorHandles Args) {
           const Shape &S = Ctx.shapeOf(Args[0]);
           PartitionHandle Cp = Ctx.partitionByBlocks(
               Args[0], Shape({S.dim(0) / 4, S.dim(1)}));
-          Ctx.prange({ScalarExpr(4)}, [&](std::vector<ScalarExpr> I) {
+          Ctx.prange({ScalarExpr(4)}, [&](ScalarExprs I) {
             Ctx.launch("cwarp", {Ctx.index(Cp, {I[0], ScalarExpr(0)})});
           });
         });
     Registry.addInner(
         "cwarp", "cwarp_inner",
         {{"C", 2, ElementType::F32, Privilege::Write}},
-        [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+        [](InnerContext &Ctx, TensorHandles Args) {
           const Shape &S = Ctx.shapeOf(Args[0]);
           PartitionHandle Cp = Ctx.partitionByBlocks(
               Args[0], Shape({S.dim(0), S.dim(1) / 32}));
-          Ctx.prange({ScalarExpr(32)}, [&](std::vector<ScalarExpr> I) {
+          Ctx.prange({ScalarExpr(32)}, [&](ScalarExprs I) {
             Ctx.launch("cthread", {Ctx.index(Cp, {ScalarExpr(0), I[0]})});
           });
         });
@@ -135,8 +135,8 @@ TEST(DependenceAnalysis, PrivilegeViolationDiagnosed) {
   TaskRegistry Registry;
   Registry.addInner(
       "bad", "bad_host", {{"T", 2, ElementType::F16, Privilege::Read}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
-        Ctx.prange({ScalarExpr(1)}, [&](std::vector<ScalarExpr>) {
+      [](InnerContext &Ctx, TensorHandles Args) {
+        Ctx.prange({ScalarExpr(1)}, [&](ScalarExprs) {
           Ctx.launch("bad", {Args[0]}); // Requests write under read.
         });
       });
@@ -169,10 +169,10 @@ TEST(DependenceAnalysis, MissingTunableDiagnosed) {
   TaskRegistry Registry;
   Registry.addInner(
       "t", "t_host", {{"T", 2, ElementType::F16, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         (void)Ctx.tunable("U"); // Not bound by the mapping below.
         Ctx.prange({ScalarExpr(1)},
-                   [&](std::vector<ScalarExpr>) { Ctx.launch("t", {Args[0]}); });
+                   [&](ScalarExprs) { Ctx.launch("t", {Args[0]}); });
       });
   Registry.addLeaf("t", "t_leaf",
                    {{"T", 2, ElementType::F16, Privilege::Write}},
@@ -284,13 +284,13 @@ TEST(CopyElimination, UnsatisfiableNoneConstraintDiagnosed) {
   TaskRegistry Registry;
   Registry.addInner(
       "n", "n_host", {{"T", 2, ElementType::F16, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         Ctx.prange({ScalarExpr(1)},
-                   [&](std::vector<ScalarExpr>) { Ctx.launch("n", {Args[0]}); });
+                   [&](ScalarExprs) { Ctx.launch("n", {Args[0]}); });
       });
   Registry.addInner(
       "n", "n_block", {{"T", 2, ElementType::F16, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
+      [](InnerContext &Ctx, TensorHandles Args) {
         // A temp that is written by a shared-memory leaf and then read by
         // ANOTHER shared-memory leaf: with the temp mapped to None and the
         // leaves in Shared, the None temp must be materialized between the

@@ -25,8 +25,8 @@ TaskRegistry tinyRegistry() {
   TaskRegistry Registry;
   Registry.addInner(
       "work", "work_host", {{"T", 2, ElementType::F16, Privilege::Write}},
-      [](InnerContext &Ctx, std::vector<TensorHandle> Args) {
-        Ctx.prange({ScalarExpr(2)}, [&](std::vector<ScalarExpr>) {
+      [](InnerContext &Ctx, TensorHandles Args) {
+        Ctx.prange({ScalarExpr(2)}, [&](ScalarExprs) {
           Ctx.launch("work", {Args[0]});
         });
       });

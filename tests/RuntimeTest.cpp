@@ -46,7 +46,7 @@ struct UserKernel {
         "axpy", "axpy_host",
         {{"Out", 2, ElementType::F32, Privilege::Write},
          {"X", 2, ElementType::F32, Privilege::Read}},
-        [](InnerContext &Ctx, std::vector<TensorHandle> Handles) {
+        [](InnerContext &Ctx, TensorHandles Handles) {
           const Shape &S = Ctx.shapeOf(Handles[0]);
           int64_t U = Ctx.tunable("U");
           PartitionHandle OutPart =
@@ -54,7 +54,7 @@ struct UserKernel {
           PartitionHandle XPart =
               Ctx.partitionByBlocks(Handles[1], Shape({U, S.dim(1)}));
           Ctx.prange({ScalarExpr(S.dim(0) / U)},
-                     [&](std::vector<ScalarExpr> I) {
+                     [&](ScalarExprs I) {
                        Ctx.launch("axpy",
                                   {Ctx.index(OutPart, {I[0], ScalarExpr(0)}),
                                    Ctx.index(XPart, {I[0], ScalarExpr(0)})});
@@ -64,14 +64,14 @@ struct UserKernel {
         "axpy", "axpy_block",
         {{"Out", 2, ElementType::F32, Privilege::Write},
          {"X", 2, ElementType::F32, Privilege::Read}},
-        [](InnerContext &Ctx, std::vector<TensorHandle> Handles) {
+        [](InnerContext &Ctx, TensorHandles Handles) {
           const Shape &S = Ctx.shapeOf(Handles[0]);
           int64_t Wgs = Ctx.tunable("WGS");
           PartitionHandle OutPart = Ctx.partitionByBlocks(
               Handles[0], Shape({S.dim(0) / Wgs, S.dim(1)}));
           PartitionHandle XPart = Ctx.partitionByBlocks(
               Handles[1], Shape({S.dim(0) / Wgs, S.dim(1)}));
-          Ctx.prange({ScalarExpr(Wgs)}, [&](std::vector<ScalarExpr> I) {
+          Ctx.prange({ScalarExpr(Wgs)}, [&](ScalarExprs I) {
             Ctx.launch("axpy",
                        {Ctx.index(OutPart, {I[0], ScalarExpr(0)}),
                         Ctx.index(XPart, {I[0], ScalarExpr(0)})});
@@ -300,7 +300,7 @@ TEST(Session, DifferentInputsMissTheCache) {
   EXPECT_NE(AfterLeaf, Before);
   Small.Registry.addInner("extra", "extra_inner",
                           {{"X", 2, ElementType::F32, Privilege::Read}},
-                          [](InnerContext &, std::vector<TensorHandle>) {});
+                          [](InnerContext &, TensorHandles) {});
   EXPECT_NE(CompilerSession::cacheKey(Small.input()), AfterLeaf);
   ASSERT_TRUE(Session.compile(Small.input(), "gemm"));
   EXPECT_EQ(Session.stats().Hits, 0u);
