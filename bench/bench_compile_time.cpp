@@ -16,7 +16,8 @@
 ///  2. The mean per-pass wall time over the 24 seeded guided-space points
 ///     CompilerParity pins (tests/TestKernels.h): the mappings serving and
 ///     tuning actually compile (SIMT-pinned copies, per-tensor pipeline
-///     depths, shared-memory caps), per family. Written under the JSON's
+///     depths, shared-memory caps), per family, with copy elimination's
+///     mean rewrites and time per rewrite. Written under the JSON's
 ///     `guided` key; reported, never gated.
 ///
 ///  3. google-benchmark microbenchmarks of `compileToIR` and individual
@@ -148,6 +149,11 @@ struct GuidedFamily {
   std::vector<std::string> PassNames;
   std::vector<double> MeanMicros; ///< Per pass, PassNames order.
   double MeanTotalMicros = 0.0;
+  /// Copy elimination's mean rewrites per point and its mean time per
+  /// rewrite (mean pass time over mean rewrites): the per-rewrite cost the
+  /// pass's bookkeeping adds, comparable across families.
+  double MeanCopyElimRewrites = 0.0;
+  double CopyElimMicrosPerRewrite = 0.0;
 };
 
 std::vector<GuidedFamily> measureGuidedPoints() {
@@ -180,11 +186,17 @@ std::vector<GuidedFamily> measureGuidedPoints() {
     for (size_t J = 0; J < Best->Passes.size(); ++J)
       F.MeanMicros[J] += Best->Passes[J].Micros;
     F.MeanTotalMicros += Best->TotalMicros;
+    if (const PassStat *CopyElim = Best->pass("copy-elimination"))
+      F.MeanCopyElimRewrites += static_cast<double>(CopyElim->Rewrites);
   }
   for (GuidedFamily &F : Families) {
     for (double &Micros : F.MeanMicros)
       Micros /= static_cast<double>(F.Points);
     F.MeanTotalMicros /= static_cast<double>(F.Points);
+    F.MeanCopyElimRewrites /= static_cast<double>(F.Points);
+    for (size_t J = 0; J < F.PassNames.size(); ++J)
+      if (F.PassNames[J] == "copy-elimination" && F.MeanCopyElimRewrites > 0)
+        F.CopyElimMicrosPerRewrite = F.MeanMicros[J] / F.MeanCopyElimRewrites;
   }
   return Families;
 }
@@ -206,6 +218,12 @@ void printGuided(std::FILE *Out, const std::vector<GuidedFamily> &Families) {
   std::fprintf(Out, "%-22s", "total");
   for (const GuidedFamily &F : Families)
     std::fprintf(Out, "%12.1f", F.MeanTotalMicros);
+  std::fprintf(Out, "\n%-22s", "copy-elim rewrites");
+  for (const GuidedFamily &F : Families)
+    std::fprintf(Out, "%12.1f", F.MeanCopyElimRewrites);
+  std::fprintf(Out, "\n%-22s", "copy-elim us/rewrite");
+  for (const GuidedFamily &F : Families)
+    std::fprintf(Out, "%12.3f", F.CopyElimMicrosPerRewrite);
   std::fprintf(Out, "\n%-22s", "points");
   for (const GuidedFamily &F : Families)
     std::fprintf(Out, "%12zu", F.Points);
@@ -253,8 +271,11 @@ void maybeWriteJson(const std::vector<KernelBreakdown> &Breakdowns,
     const GuidedFamily &F = Guided[I];
     std::fprintf(Out,
                  "    {\"family\": \"%s\", \"points\": %zu, "
-                 "\"mean_total_us\": %.3f,\n     \"passes\": [",
-                 F.Family.c_str(), F.Points, F.MeanTotalMicros);
+                 "\"mean_total_us\": %.3f, "
+                 "\"copy_elim_rewrites\": %.3f, "
+                 "\"copy_elim_us_per_rewrite\": %.4f,\n     \"passes\": [",
+                 F.Family.c_str(), F.Points, F.MeanTotalMicros,
+                 F.MeanCopyElimRewrites, F.CopyElimMicrosPerRewrite);
     for (size_t J = 0; J < F.PassNames.size(); ++J)
       std::fprintf(Out, "%s{\"pass\": \"%s\", \"mean_us\": %.3f}",
                    J ? ", " : "", F.PassNames[J].c_str(), F.MeanMicros[J]);

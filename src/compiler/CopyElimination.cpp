@@ -228,7 +228,8 @@ struct GraphScratch {
   /// tensor rebases exactly its partitions instead of scanning them all.
   std::vector<std::vector<PartitionId>> PartsOf;
   std::vector<TensorId> RootsA, RootsB;           ///< collectRoots buffers.
-  std::vector<TensorId> SubstRoots;               ///< Affected-root union.
+  std::vector<TensorId> SubstRoots;  ///< Roots a forward or hoist affects.
+  std::vector<EventId> HoistEvents;  ///< Events a hoist rewires.
   std::vector<EventRef> PrecondScratch;           ///< Spliced references.
   /// Queued (pattern, slot) pairs carried across a renumbering.
   std::vector<std::pair<unsigned, uint32_t>> Requeue;
@@ -1354,8 +1355,10 @@ private:
 
     // The hoist's blast radius: everything whose pattern matches can
     // change when these ops move and their events rewire.
-    std::vector<TensorId> AffectedTensors;
-    std::vector<EventId> AffectedEvents;
+    std::vector<TensorId> &AffectedTensors = S.SubstRoots;
+    std::vector<EventId> &AffectedEvents = S.HoistEvents;
+    AffectedTensors.clear();
+    AffectedEvents.clear();
     auto NoteOp = [&](const Operation &Op) {
       collectRoots(Op, S.RootsB);
       for (TensorId T : S.RootsB)
@@ -1541,17 +1544,26 @@ private:
   }
 
   void sweepBlock(IRBlock &Block, std::optional<Diagnostic> &Err) {
-    auto NewEnd = std::remove_if(
-        Block.Ops.begin(), Block.Ops.end(),
-        [&](const std::unique_ptr<Operation> &Op) {
-          if (Op->Kind == OpKind::Alloc)
-            return !S.LiveTensors[Op->AllocTensor];
-          if (Op->Kind == OpKind::MakePart)
-            return !S.LiveParts[Op->Part];
-          uint32_t Slot = slotOf(Op.get());
-          return Slot != InvalidSlot && !alive(Slot);
-        });
-    Block.Ops.erase(NewEnd, Block.Ops.end());
+    // Compact by hand: the dead operations go back to the pool, which
+    // std::remove_if (it overwrites them) would not allow.
+    size_t Kept = 0;
+    for (size_t I = 0, E = Block.Ops.size(); I != E; ++I) {
+      std::unique_ptr<Operation> &Op = Block.Ops[I];
+      bool Dead;
+      if (Op->Kind == OpKind::Alloc) {
+        Dead = !S.LiveTensors[Op->AllocTensor];
+      } else if (Op->Kind == OpKind::MakePart) {
+        Dead = !S.LiveParts[Op->Part];
+      } else {
+        uint32_t Slot = slotOf(Op.get());
+        Dead = Slot != InvalidSlot && !alive(Slot);
+      }
+      if (Dead)
+        retireOperation(std::move(Op));
+      else if (Kept++ != I)
+        Block.Ops[Kept - 1] = std::move(Op);
+    }
+    Block.Ops.resize(Kept);
     for (std::unique_ptr<Operation> &Op : Block.Ops) {
       if (!Err)
         forEachSlice(*Op, [&](const TensorSlice &Slice) {

@@ -271,7 +271,7 @@ public:
   }
 
   Operation &emit(OpKind Kind) {
-    auto Op = std::make_unique<Operation>();
+    std::unique_ptr<Operation> Op = newOperation();
     Op->Kind = Kind;
     Op->Id = Module.freshOpId();
     Operation &Ref = *Op;

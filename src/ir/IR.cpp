@@ -56,6 +56,73 @@ std::unique_ptr<Operation> Operation::clone() const {
   return Copy;
 }
 
+namespace {
+
+/// Retired operations of this thread; see newOperation.
+struct OperationPool {
+  /// Enough for the dead operations of one attention compile.
+  static constexpr size_t Capacity = 256;
+  std::vector<std::unique_ptr<Operation>> Free;
+};
+
+OperationPool &operationPool() {
+  thread_local OperationPool Pool;
+  return Pool;
+}
+
+/// Restores every field to its default, keeping the buffers of the lists.
+void resetOperation(Operation &Op) {
+  Op.Kind = OpKind::Alloc;
+  Op.Id = ~0u;
+  Op.Result = InvalidEventId;
+  Op.Preconds.clear();
+  Op.AllocTensor = InvalidTensorId;
+  Op.Part = 0;
+  Op.CopySrc = TensorSlice();
+  Op.CopyDst = TensorSlice();
+  Op.LaunchBoundary = false;
+  Op.BoundaryTensor = InvalidTensorId;
+  Op.Callee.clear();
+  Op.Args.clear();
+  Op.ArgIsWritten.clear();
+  Op.ScalarArgs.clear();
+  Op.Flops = 0.0;
+  Op.Unit = ExecUnit::SIMT;
+  Op.ExecProc = Processor::Thread;
+  Op.LoopVar = 0;
+  Op.LoopVarName.clear();
+  Op.LoopLo = ScalarExpr(0);
+  Op.LoopHi = ScalarExpr(0);
+  Op.PForProc = Processor::Thread;
+  Op.Body.Ops.clear();
+  Op.Body.Yield.reset();
+  Op.ForPipeline = 1;
+  Op.WarpSpecialize = false;
+  Op.VecContext.clear();
+  Op.DmaAgent = false;
+}
+
+} // namespace
+
+std::unique_ptr<Operation> cypress::newOperation() {
+  std::vector<std::unique_ptr<Operation>> &Free = operationPool().Free;
+  if (Free.empty())
+    return std::make_unique<Operation>();
+  std::unique_ptr<Operation> Op = std::move(Free.back());
+  Free.pop_back();
+  return Op;
+}
+
+void cypress::retireOperation(std::unique_ptr<Operation> Op) {
+  OperationPool &Pool = operationPool();
+  if (Pool.Free.size() == OperationPool::Capacity)
+    return; // Full: Op is destroyed here.
+  resetOperation(*Op);
+  if (Pool.Free.capacity() == 0)
+    Pool.Free.reserve(OperationPool::Capacity);
+  Pool.Free.push_back(std::move(Op));
+}
+
 TensorId IRModule::addTensor(std::string Name, TensorType Type, Memory Mem) {
   if (Tensors.empty())
     Tensors.reserve(64); // IRTensor carries strings; skip doubling churn.

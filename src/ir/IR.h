@@ -300,6 +300,15 @@ public:
   std::unique_ptr<Operation> clone() const;
 };
 
+/// A default-constructed operation. Copy elimination erases most of the
+/// operations dependence analysis builds, so retired operations are pooled
+/// per thread (bounded) and handed out again here, reset to the default
+/// state with their list buffers kept, instead of costing a heap round
+/// trip each.
+std::unique_ptr<Operation> newOperation();
+/// Returns a dead operation (and its body) to this thread's pool.
+void retireOperation(std::unique_ptr<Operation> Op);
+
 //===----------------------------------------------------------------------===//
 // Module
 //===----------------------------------------------------------------------===//

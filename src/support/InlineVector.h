@@ -149,6 +149,8 @@ private:
   }
 
   void releaseHeap() {
+    if (!Heap)
+      return; // The common inline case: no call into the allocator.
     ::operator delete(Heap);
     Heap = nullptr;
     Cap = InlineN;

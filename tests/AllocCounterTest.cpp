@@ -92,13 +92,12 @@ TEST(AllocCounter, PipelineRecordsPerPassAllocs) {
 }
 
 /// Warm per-pass heap allocations of a default-pipeline compile, pinned
-/// as upper bounds at the counts measured when the dependence analysis
-/// stopped re-allocating per launch (fresh-tensor ids inline, argument
-/// shapes pooled, one dispatch table per caller), copy elimination
-/// started splicing preconditions in place, and the scope repair started
-/// writing deduplicated lists back into their own buffers. A change that
-/// allocates more in any pass fails here; one that allocates less should
-/// lower the pin.
+/// as upper bounds at the counts measured once shapes and event types kept
+/// their dimensions inline, the dependence analysis pooled its context
+/// tables and took launch arguments as views, operations were recycled
+/// through the per-thread pool, and vectorization stopped growing lists
+/// one element at a time. A change that allocates more in any pass fails
+/// here; one that allocates less should lower the pin.
 TEST(AllocCounter, PipelineAllocationBound) {
   if (!allocCounterActive())
     GTEST_SKIP() << "alloc counter compiled out (sanitizer build)";
@@ -111,10 +110,10 @@ TEST(AllocCounter, PipelineAllocationBound) {
   } Cases[] = {
       {"gemm_4096", compileGemm(headlineGemmConfig()),
        gemmArgTypes(headlineGemmConfig()),
-       {275, 33, 16, 0, 7, 0, 2}},
+       {79, 4, 5, 0, 7, 0, 2}},
       {"fa3_4096", compileAttention(fa3Config(4096)),
        attentionArgTypes(fa3Config(4096)),
-       {704, 116, 76, 0, 8, 0, 2}}};
+       {238, 16, 39, 0, 8, 0, 2}}};
 
   PassPipeline Pipeline = PassPipeline::defaultPipeline();
   Pipeline.setCountAllocs(true);

@@ -8,7 +8,8 @@
 /// Tests of the instrumented pass pipeline: registered pass ordering, the
 /// equivalence of compileToIR with an explicitly built default pipeline,
 /// per-pass statistics, inter-stage verification catching an injected
-/// malformed module, pass provenance on diagnostics, and IR dumping.
+/// malformed module (and always covering dependence analysis), pass
+/// provenance on diagnostics, and IR dumping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,6 +137,23 @@ TEST(PassManager, VerificationCanBeDisabled) {
   Pipeline.addPass(makeCorruptingPass());
   Pipeline.setVerifyEachPass(false);
   EXPECT_TRUE(Pipeline.run(Gemm.input()));
+}
+
+/// Dependence analysis does not verify its own output; the pipeline does,
+/// even with per-pass verification off, and only there when it is off.
+TEST(PassManager, DependenceAnalysisVerifiedWhenVerifyEachPassIsOff) {
+  GemmInput Gemm;
+  PassPipeline Pipeline = PassPipeline::defaultPipeline();
+  Pipeline.setVerifyEachPass(false);
+  PipelineStats Stats;
+  ASSERT_TRUE(Pipeline.run(Gemm.input(), nullptr, &Stats));
+  ASSERT_EQ(Stats.Passes.size(), 7u);
+  for (const PassStat &S : Stats.Passes) {
+    if (S.Name == "dependence-analysis")
+      EXPECT_GT(S.VerifyMicros, 0.0) << S.Name;
+    else
+      EXPECT_EQ(S.VerifyMicros, 0.0) << S.Name;
+  }
 }
 
 TEST(PassManager, DiagnosticsCarryPassProvenance) {
