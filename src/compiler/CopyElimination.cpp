@@ -228,7 +228,7 @@ struct GraphScratch {
   /// tensor rebases exactly its partitions instead of scanning them all.
   std::vector<std::vector<PartitionId>> PartsOf;
   std::vector<TensorId> RootsA, RootsB;           ///< collectRoots buffers.
-  std::vector<TensorId> SubstRoots;  ///< Roots a forward or hoist affects.
+  std::vector<TensorId> HoistRoots;  ///< Roots a hoist affects.
   std::vector<EventId> HoistEvents;  ///< Events a hoist rewires.
   std::vector<EventRef> PrecondScratch;           ///< Spliced references.
   /// Queued (pattern, slot) pairs carried across a renumbering.
@@ -1069,10 +1069,12 @@ private:
   /// Replaces every reference to whole-\p From (op slices and partition
   /// bases) with \p To, rebasing partitions rooted at From. Every alive
   /// toucher of From is rewritten, so From's toucher lists and read count
-  /// move to To wholesale (a sorted merge) instead of per op. Seeding is
-  /// batched: per-op seeding would rescan the shared roots' toucher lists
-  /// once per rewritten user, so one final sweep over the union of
-  /// affected roots seeds the anchors before the last rewritten user.
+  /// move to To wholesale instead of per op. Seeding touches only what the
+  /// rewrite changed: each rewritten op itself, and the anchors that scan
+  /// To's touchers. A rewritten op's other roots need no sweep: what it
+  /// does to them (reads, writes, its slices on them) is unchanged, and
+  /// every match test that reads its new To slices is made by an anchor
+  /// that touches To itself.
   void substituteTensor(TensorId From, const TensorSlice &To) {
     std::vector<PartitionId> &Rebased = S.PartsOf[From];
     for (PartitionId Id : Rebased) {
@@ -1085,16 +1087,10 @@ private:
     std::vector<PartitionId> &Into = S.PartsOf[To.Tensor];
     Into.insert(Into.end(), Rebased.begin(), Rebased.end());
     Rebased.clear();
-    std::vector<TensorId> &Affected = S.SubstRoots;
-    Affected.assign(1, To.Tensor);
     uint32_t LastPos = 0;
     for (uint32_t Slot : S.TensorUsers[From]) {
       LastPos = posOf(Slot); // The list is sorted and holds alive ops.
       Operation &Op = op(Slot);
-      collectRoots(Op, S.RootsA);
-      for (TensorId T : S.RootsA)
-        if (std::find(Affected.begin(), Affected.end(), T) == Affected.end())
-          Affected.push_back(T);
       forEachSlice(Op, [&](TensorSlice &Slice) {
         if (Slice.Tensor != From)
           return;
@@ -1112,8 +1108,7 @@ private:
     moveUsers(S.TensorCopyUsers[From], S.TensorCopyUsers[To.Tensor]);
     S.ReadCount[To.Tensor] += S.ReadCount[From];
     S.ReadCount[From] = 0;
-    for (TensorId T : Affected)
-      seedTouchers(T, LastPos);
+    seedTouchers(To.Tensor, LastPos);
   }
 
   /// Inserts the position-sorted list \p From into \p Into (an op touching
@@ -1355,7 +1350,7 @@ private:
 
     // The hoist's blast radius: everything whose pattern matches can
     // change when these ops move and their events rewire.
-    std::vector<TensorId> &AffectedTensors = S.SubstRoots;
+    std::vector<TensorId> &AffectedTensors = S.HoistRoots;
     std::vector<EventId> &AffectedEvents = S.HoistEvents;
     AffectedTensors.clear();
     AffectedEvents.clear();
