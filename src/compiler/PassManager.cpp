@@ -158,6 +158,7 @@ ErrorOr<IRModule> PassPipeline::run(const CompileInput &Input,
 
   if (AllocOut)
     *AllocOut = std::move(State.Alloc);
+  State.Module.shrinkToFit(); // Callers keep the module (the kernel cache).
   Finish();
   return std::move(State.Module);
 }

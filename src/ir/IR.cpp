@@ -148,6 +148,12 @@ EventId IRModule::addEvent(std::string Name, EventType Type) {
   return Id;
 }
 
+void IRModule::shrinkToFit() {
+  Tensors.shrink_to_fit();
+  Partitions.shrink_to_fit();
+  Events.shrink_to_fit();
+}
+
 namespace {
 /// Calls \p Fn(Color, Rank) with the piece color a static slice query
 /// resolves: constant colors exactly (edge tiles); any symbolic color falls

@@ -327,6 +327,11 @@ public:
   PartitionId addPartition(TensorSlice Base, Partition Spec);
   EventId addEvent(std::string Name, EventType Type);
   LoopVarId freshLoopVar() { return NextLoopVar++; }
+
+  /// Releases the arenas' spare capacity. Construction reserves generously
+  /// to avoid moving strings as the arenas grow; a finished module that is
+  /// kept (a cached kernel) should not carry that slack.
+  void shrinkToFit();
   OpId freshOpId() { return NextOpId++; }
 
   //===--- Access ------------------------------------------------------===//
