@@ -184,6 +184,21 @@ struct SlotWorklist {
       ++Lowest;
     return Lowest == Bits.size();
   }
+  /// Dequeues every queued position in [Lo, Hi], passing each to \p Take.
+  template <typename Fn> void takeRange(uint32_t Lo, uint32_t Hi, Fn &&Take) {
+    for (uint32_t Word = Lo >> 6; Word <= Hi >> 6; ++Word) {
+      uint64_t Mask = ~0ull;
+      if (Word == Lo >> 6)
+        Mask &= ~0ull << (Lo & 63);
+      if (Word == Hi >> 6)
+        Mask &= ~0ull >> (63 - (Hi & 63));
+      uint64_t Taken = Bits[Word] & Mask;
+      Bits[Word] &= ~Mask;
+      for (; Taken; Taken &= Taken - 1)
+        Take(Word * 64 + static_cast<uint32_t>(__builtin_ctzll(Taken)));
+    }
+  }
+
   /// The lowest queued position, dequeued; requires !empty().
   uint32_t pop() {
     uint64_t &Word = Bits[Lowest];
@@ -434,30 +449,37 @@ private:
       S.LoopDirty[P] = 1;
   }
 
-  /// Re-derives every op's program position from the blocks after a hoist
-  /// moved ops between them. Relative order of the unmoved ops is
-  /// unchanged, so the sorted toucher lists stay sorted (the moved ops
-  /// left them before the move); queued anchors follow their slots.
-  void renumber() {
+  /// Re-derives program positions after a hoist moved ops out of a loop.
+  /// The moved ops land right around the loop, so the ops that now sit at
+  /// \p Block.Ops[First..Last] are exactly the ones that occupied the
+  /// loop's old span [Lo, Hi] of positions; nothing outside the span
+  /// moves. Relative order of the unmoved ops is unchanged, so the sorted
+  /// toucher lists stay sorted (the moved ops left them before the move);
+  /// queued anchors in the span follow their slots.
+  void renumber(IRBlock &Block, size_t First, size_t Last, uint32_t Lo,
+                uint32_t Hi) {
     S.Requeue.clear();
     for (unsigned P = 0; P < NumPatterns; ++P)
-      while (!Work[P].empty())
-        S.Requeue.emplace_back(P, S.SlotAt[Work[P].pop()]);
-    uint32_t Next = 0;
-    renumberBlock(Module.root(), Next);
+      Work[P].takeRange(Lo, Hi, [&](uint32_t Pos) {
+        S.Requeue.emplace_back(P, S.SlotAt[Pos]);
+      });
+    uint32_t Next = Lo;
+    for (size_t I = First; I <= Last; ++I)
+      renumberOp(*Block.Ops[I], Next);
+    assert(Next == Hi + 1 && "a hoist must not change the span's size");
+    (void)Hi;
     for (const auto &[P, Slot] : S.Requeue)
       Work[P].set(posOf(Slot));
   }
 
-  void renumberBlock(IRBlock &Block, uint32_t &Next) {
-    for (std::unique_ptr<Operation> &Op : Block.Ops) {
-      uint32_t Slot = slotOf(Op.get());
-      S.PosOf[Slot] = Next;
-      S.SlotAt[Next++] = Slot;
-      if (Op->Kind == OpKind::For || Op->Kind == OpKind::PFor) {
-        renumberBlock(Op->Body, Next);
-        S.Nodes[Slot].SubtreeEnd = Next - 1;
-      }
+  void renumberOp(Operation &Op, uint32_t &Next) {
+    uint32_t Slot = slotOf(&Op);
+    S.PosOf[Slot] = Next;
+    S.SlotAt[Next++] = Slot;
+    if (Op.Kind == OpKind::For || Op.Kind == OpKind::PFor) {
+      for (std::unique_ptr<Operation> &Inner : Op.Body.Ops)
+        renumberOp(*Inner, Next);
+      S.Nodes[Slot].SubtreeEnd = Next - 1;
     }
   }
 
@@ -1434,6 +1456,9 @@ private:
         At = K;
         break;
       }
+    size_t First = At;
+    uint32_t SpanLo = posOf(LoopSlot);
+    uint32_t SpanHi = S.Nodes[LoopSlot].SubtreeEnd;
     if (Alloc)
       Parent.Ops.insert(Parent.Ops.begin() + static_cast<long>(At++),
                         std::move(Alloc));
@@ -1451,14 +1476,18 @@ private:
       Node.Parent = S.Nodes[LoopSlot].Parent;
       Node.Depth = S.Nodes[LoopSlot].Depth;
     }
-    renumber();
+    renumber(Parent, First, At + 1, SpanLo, SpanHi);
     addTouches(InSlot);
     addTouches(OutSlot);
 
     // Invalidation: the moved ops, everything sharing their tensors, the
     // events they rewired, and the loop's spill-hoist dirtiness. Positions
     // and depths moved, so every affected anchor is re-seeded for every
-    // pattern.
+    // pattern, once per distinct tensor and event.
+    for (auto *List : {&AffectedTensors, &AffectedEvents}) {
+      std::sort(List->begin(), List->end());
+      List->erase(std::unique(List->begin(), List->end()), List->end());
+    }
     for (TensorId T : AffectedTensors)
       for (uint32_t Slot : S.TensorCopyUsers[T])
         seedAll(Slot);

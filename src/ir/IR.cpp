@@ -72,14 +72,16 @@ OperationPool &operationPool() {
 
 /// Restores every field to its default, keeping the buffers of the lists.
 void resetOperation(Operation &Op) {
+  static const TensorSlice NoSlice{};
+  static const ScalarExpr Zero(0);
   Op.Kind = OpKind::Alloc;
   Op.Id = ~0u;
   Op.Result = InvalidEventId;
   Op.Preconds.clear();
   Op.AllocTensor = InvalidTensorId;
   Op.Part = 0;
-  Op.CopySrc = TensorSlice();
-  Op.CopyDst = TensorSlice();
+  Op.CopySrc = NoSlice;
+  Op.CopyDst = NoSlice;
   Op.LaunchBoundary = false;
   Op.BoundaryTensor = InvalidTensorId;
   Op.Callee.clear();
@@ -91,8 +93,8 @@ void resetOperation(Operation &Op) {
   Op.ExecProc = Processor::Thread;
   Op.LoopVar = 0;
   Op.LoopVarName.clear();
-  Op.LoopLo = ScalarExpr(0);
-  Op.LoopHi = ScalarExpr(0);
+  Op.LoopLo = Zero;
+  Op.LoopHi = Zero;
   Op.PForProc = Processor::Thread;
   Op.Body.Ops.clear();
   Op.Body.Yield.reset();
