@@ -261,7 +261,7 @@ struct GraphScratch {
   };
   std::vector<BoundaryGroup> BoundaryGroups;
   /// (fresh tensor, slot) per boundary copy, grouped by tensor after build.
-  std::vector<std::pair<TensorId, uint32_t>> BoundarySlots;
+  std::vector<std::pair<TensorId, uint32_t>> BoundarySlots, BoundarySorted;
   /// Fresh tensor id -> index of its boundary group (InvalidSlot: none).
   std::vector<uint32_t> GroupOf;
   SlotWorklist Work[5];                           ///< One per op pattern.
@@ -366,7 +366,7 @@ private:
     S.Nodes.clear();
     S.PosOf.clear();
     S.SlotAt.clear();
-    S.SlotById.clear();
+    S.SlotById.assign(Module.opIdBound(), InvalidSlot);
     S.clearLists(S.EventUsers, Module.numEvents());
     if (S.EventProducer.size() < Module.numEvents())
       S.EventProducer.resize(Module.numEvents());
@@ -424,19 +424,32 @@ private:
   }
 
   /// Groups the boundary copies by fresh tensor, ascending tensor id (slot
-  /// order within a group).
+  /// order within a group): a counting sort over tensor ids, stable because
+  /// the build collected the copies in slot order.
   void buildBoundaryGroups() {
-    std::sort(S.BoundarySlots.begin(), S.BoundarySlots.end());
     S.BoundaryGroups.clear();
     S.GroupOf.assign(Module.tensors().size(), InvalidSlot);
-    for (uint32_t I = 0, E = S.BoundarySlots.size(); I != E; ++I) {
-      TensorId T = S.BoundarySlots[I].first;
-      if (S.BoundaryGroups.empty() || S.BoundaryGroups.back().Tensor != T) {
+    for (const auto &[T, Slot] : S.BoundarySlots)
+      if (S.GroupOf[T] == InvalidSlot)
+        S.GroupOf[T] = 0; // Marks T as having a group.
+    for (TensorId T = 0, E = S.GroupOf.size(); T != E; ++T)
+      if (S.GroupOf[T] != InvalidSlot) {
         S.GroupOf[T] = static_cast<uint32_t>(S.BoundaryGroups.size());
-        S.BoundaryGroups.push_back({T, I, I, true, false});
+        S.BoundaryGroups.push_back({T, 0, 0, true, false});
       }
-      S.BoundaryGroups.back().End = I + 1;
+    for (const auto &[T, Slot] : S.BoundarySlots)
+      ++S.BoundaryGroups[S.GroupOf[T]].End;
+    uint32_t Begin = 0;
+    for (GraphScratch::BoundaryGroup &Group : S.BoundaryGroups) {
+      uint32_t Size = Group.End;
+      Group.Begin = Group.End = Begin; // End fills up as members land.
+      Begin += Size;
     }
+    S.BoundarySorted.resize(S.BoundarySlots.size());
+    for (const auto &Member : S.BoundarySlots)
+      S.BoundarySorted[S.BoundaryGroups[S.GroupOf[Member.first]].End++] =
+          Member;
+    S.BoundarySlots.swap(S.BoundarySorted);
     S.BoundaryCursor = 0;
   }
 
@@ -779,7 +792,11 @@ private:
   /// before it keep their spliced preconditions, the failing user keeps
   /// its own.
   bool spliceEvent(EventId From, const std::vector<EventRef> &Preconds) {
-    const EventType &FromType = Module.event(From).Type;
+    // The plain processor index of each of From's dimensions: what
+    // adjustSpliced matches the spliced references' indices against.
+    InlineVector<ScalarExpr, 4> Plain;
+    for (const EventDim &Dim : Module.event(From).Type.Dims)
+      Plain.push_back(ScalarExpr::procIndex(Dim.Proc));
     const std::vector<uint32_t> &Users = S.EventUsers[From]; // As rename.
     std::vector<EventRef> &Spliced = S.PrecondScratch; // Capacity pools.
     for (size_t UserIdx = 0; UserIdx < Users.size(); ++UserIdx) {
@@ -803,7 +820,7 @@ private:
           continue;
         for (const EventRef &P : Preconds) {
           Spliced.push_back(P);
-          if (!adjustSpliced(Ref, FromType, Spliced.back()))
+          if (!adjustSpliced(Ref, Plain, Spliced.back()))
             return false;
         }
       }
@@ -858,10 +875,11 @@ private:
 
   /// Adjusts \p Result, a copy of a spliced precondition, for a user that
   /// referenced the erased event as \p User; false when it cannot be
-  /// adjusted. Point-wise processor indices that match a dimension of the
-  /// erased event's type take the user's index for that dimension (turning
-  /// into broadcasts when the user broadcast).
-  static bool adjustSpliced(const EventRef &User, const EventType &FromType,
+  /// adjusted. A point-wise processor index equal to \p Plain[D], the plain
+  /// index of the erased event's dimension D, takes the user's index for
+  /// that dimension (turning into a broadcast when the user broadcast).
+  static bool adjustSpliced(const EventRef &User,
+                            const InlineVector<ScalarExpr, 4> &Plain,
                             EventRef &Result) {
     Result.IterLag += User.IterLag;
     for (EventIndex &Index : Result.Indices) {
@@ -874,9 +892,8 @@ private:
       if (Index.Index.kind() != ScalarExpr::Kind::ProcIndex)
         return false;
       bool Matched = false;
-      for (size_t D = 0, E = FromType.Dims.size(); D != E; ++D) {
-        ScalarExpr Plain = ScalarExpr::procIndex(FromType.Dims[D].Proc);
-        if (Index.Index.equals(Plain)) {
+      for (size_t D = 0, E = Plain.size(); D != E; ++D) {
+        if (Index.Index.equals(Plain[D])) {
           if (D < User.Indices.size())
             Index = User.Indices[D];
           Matched = true;

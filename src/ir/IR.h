@@ -333,6 +333,8 @@ public:
   /// kept (a cached kernel) should not carry that slack.
   void shrinkToFit();
   OpId freshOpId() { return NextOpId++; }
+  /// One past the largest id freshOpId has handed out.
+  OpId opIdBound() const { return NextOpId; }
 
   //===--- Access ------------------------------------------------------===//
 
