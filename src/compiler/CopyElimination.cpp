@@ -261,7 +261,7 @@ struct GraphScratch {
   };
   std::vector<BoundaryGroup> BoundaryGroups;
   /// (fresh tensor, slot) per boundary copy, grouped by tensor after build.
-  std::vector<std::pair<TensorId, uint32_t>> BoundarySlots, BoundarySorted;
+  std::vector<std::pair<TensorId, uint32_t>> BoundarySlots;
   /// Fresh tensor id -> index of its boundary group (InvalidSlot: none).
   std::vector<uint32_t> GroupOf;
   SlotWorklist Work[5];                           ///< One per op pattern.
@@ -424,32 +424,19 @@ private:
   }
 
   /// Groups the boundary copies by fresh tensor, ascending tensor id (slot
-  /// order within a group): a counting sort over tensor ids, stable because
-  /// the build collected the copies in slot order.
+  /// order within a group).
   void buildBoundaryGroups() {
+    std::sort(S.BoundarySlots.begin(), S.BoundarySlots.end());
     S.BoundaryGroups.clear();
     S.GroupOf.assign(Module.tensors().size(), InvalidSlot);
-    for (const auto &[T, Slot] : S.BoundarySlots)
-      if (S.GroupOf[T] == InvalidSlot)
-        S.GroupOf[T] = 0; // Marks T as having a group.
-    for (TensorId T = 0, E = S.GroupOf.size(); T != E; ++T)
-      if (S.GroupOf[T] != InvalidSlot) {
+    for (uint32_t I = 0, E = S.BoundarySlots.size(); I != E; ++I) {
+      TensorId T = S.BoundarySlots[I].first;
+      if (S.BoundaryGroups.empty() || S.BoundaryGroups.back().Tensor != T) {
         S.GroupOf[T] = static_cast<uint32_t>(S.BoundaryGroups.size());
-        S.BoundaryGroups.push_back({T, 0, 0, true, false});
+        S.BoundaryGroups.push_back({T, I, I, true, false});
       }
-    for (const auto &[T, Slot] : S.BoundarySlots)
-      ++S.BoundaryGroups[S.GroupOf[T]].End;
-    uint32_t Begin = 0;
-    for (GraphScratch::BoundaryGroup &Group : S.BoundaryGroups) {
-      uint32_t Size = Group.End;
-      Group.Begin = Group.End = Begin; // End fills up as members land.
-      Begin += Size;
+      S.BoundaryGroups.back().End = I + 1;
     }
-    S.BoundarySorted.resize(S.BoundarySlots.size());
-    for (const auto &Member : S.BoundarySlots)
-      S.BoundarySorted[S.BoundaryGroups[S.GroupOf[Member.first]].End++] =
-          Member;
-    S.BoundarySlots.swap(S.BoundarySorted);
     S.BoundaryCursor = 0;
   }
 

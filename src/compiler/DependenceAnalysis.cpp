@@ -107,67 +107,53 @@ struct Scope {
   }
 };
 
-/// The pooled scope stack: scopes (and their slots' buffers) persist
-/// across compiles on one thread, so steady-state traversal allocates
-/// nothing for dependence tracking.
-struct ScopeStack {
-  std::deque<Scope> Scopes; ///< Deque: references survive deeper pushes.
+/// A stack pooled per thread: its levels (scopes, context tables) keep
+/// their buffers across pushes and compiles, so steady-state traversal
+/// allocates nothing for them. Levels reset on push and on pop.
+template <typename Level> struct PooledStack {
+  std::deque<Level> Levels; ///< Deque: references survive deeper pushes.
   size_t Depth = 0;
 
-  Scope &push() {
-    if (Depth == Scopes.size())
-      Scopes.emplace_back();
-    Scope &S = Scopes[Depth++];
-    S.reset();
-    return S;
+  Level &push() {
+    if (Depth == Levels.size())
+      Levels.emplace_back();
+    Level &L = Levels[Depth++];
+    L.reset();
+    return L;
   }
   void pop() {
-    assert(Depth > 0 && "scope stack underflow");
-    Scopes[--Depth].reset();
+    assert(Depth > 0 && "pooled stack underflow");
+    Levels[--Depth].reset();
   }
-  Scope &top() {
-    assert(Depth > 0 && "no active scope");
-    return Scopes[Depth - 1];
+  Level &top() {
+    assert(Depth > 0 && "empty pooled stack");
+    return Levels[Depth - 1];
   }
 };
 
-ScopeStack &scopeStack() {
-  thread_local ScopeStack Stack;
+PooledStack<Scope> &scopeStack() {
+  thread_local PooledStack<Scope> Stack;
   return Stack;
 }
 
 class Analysis;
 
 /// The handle tables of one task instance's context: handle -> slice and
-/// privilege, partition handle -> partition and privilege.
+/// privilege, partition handle -> partition and privilege. Contexts nest
+/// exactly like the launches that create them, so a launch borrows the
+/// next level of a pooled stack instead of allocating tables of its own.
 struct ContextTables {
   std::vector<std::pair<TensorSlice, Privilege>> Handles;
   std::vector<std::pair<PartitionId, Privilege>> Parts;
-};
 
-/// Contexts nest exactly like the launches that create them, so their
-/// tables form a stack pooled per thread: a launch borrows the next level's
-/// tables (keeping their capacity) instead of allocating its own.
-struct ContextStack {
-  std::deque<ContextTables> Levels; ///< Deque: references survive pushes.
-  size_t Depth = 0;
-
-  ContextTables &push() {
-    if (Depth == Levels.size())
-      Levels.emplace_back();
-    ContextTables &T = Levels[Depth++];
-    T.Handles.clear();
-    T.Parts.clear();
-    return T;
-  }
-  void pop() {
-    assert(Depth > 0 && "context stack underflow");
-    --Depth;
+  void reset() {
+    Handles.clear();
+    Parts.clear();
   }
 };
 
-ContextStack &contextStack() {
-  thread_local ContextStack Stack;
+PooledStack<ContextTables> &contextStack() {
+  thread_local PooledStack<ContextTables> Stack;
   return Stack;
 }
 
@@ -450,7 +436,7 @@ public:
 private:
   const CompileInput &Input;
   IRModule Module;
-  ScopeStack &Stack = scopeStack();
+  PooledStack<Scope> &Stack = scopeStack();
   std::vector<IRBlock *> Blocks;
   std::vector<int64_t> PipelineStack{1};
   unsigned EventCounter = 0;

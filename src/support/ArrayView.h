@@ -5,17 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Two non-owning parameter types for the task-body recording API, whose
-/// calls are synchronous: the callee reads the argument before it returns.
-///
-///  * ArrayView<T> is a pointer and a length. It binds to a braced list,
-///    a std::vector, or an InlineVector, so `Ctx.launch("t", {A, B})`
-///    passes its handles without building a vector on the heap.
-///  * FunctionRef<R(Args...)> refers to a callable (a lambda, typically)
-///    without copying it, so handing a loop body to srange/prange never
-///    allocates the way a std::function holding a capturing lambda does.
-///
-/// Neither may outlive what it refers to; neither is meant to be stored.
+/// Parameter types for calls that use their argument before returning, as
+/// the task-body recording API does. ArrayView<T> (pointer and length)
+/// binds to a braced list, a std::vector, or an InlineVector, so
+/// `Ctx.launch("t", {A, B})` builds no vector. FunctionRef<R(Args...)>
+/// refers to a callable without copying it, so handing a capturing lambda
+/// to srange/prange never allocates the way a std::function may. Neither
+/// may outlive what it refers to.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +21,6 @@
 #include "support/InlineVector.h"
 
 #include <cassert>
-#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <type_traits>
@@ -37,22 +32,20 @@ namespace cypress {
 template <typename T> class ArrayView {
 public:
   ArrayView() = default;
-  ArrayView(const T *Data, size_t Size) : Data(Data), Size(Size) {}
-  // A braced argument list lives until the end of the full expression,
-  // which spans the whole call taking the view; GCC cannot see that.
+  // A braced list lives until the end of the full expression, which spans
+  // the call taking the view; GCC cannot see that.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Winit-list-lifetime"
 #endif
-  /*implicit*/ ArrayView(std::initializer_list<T> List)
+  ArrayView(std::initializer_list<T> List)
       : Data(List.begin()), Size(List.size()) {}
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
-  /*implicit*/ ArrayView(const std::vector<T> &Vec)
-      : Data(Vec.data()), Size(Vec.size()) {}
+  ArrayView(const std::vector<T> &Vec) : Data(Vec.data()), Size(Vec.size()) {}
   template <unsigned N>
-  /*implicit*/ ArrayView(const InlineVector<T, N> &Vec)
+  ArrayView(const InlineVector<T, N> &Vec)
       : Data(Vec.begin()), Size(Vec.size()) {}
 
   const T *begin() const { return Data; }
@@ -77,7 +70,7 @@ public:
             typename = std::enable_if_t<!std::is_same<
                 std::remove_cv_t<std::remove_reference_t<Callable>>,
                 FunctionRef>::value>>
-  /*implicit*/ FunctionRef(Callable &&C)
+  FunctionRef(Callable &&C)
       : Callback(&call<std::remove_reference_t<Callable>>),
         Target(reinterpret_cast<intptr_t>(&C)) {}
 
