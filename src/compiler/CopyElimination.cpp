@@ -811,28 +811,33 @@ private:
             return false;
         }
       }
-      // Replace each reference in place. A list at capacity doubles: later
-      // splices into the same user then append without moving it again,
-      // and run() trims every surviving list once at the end.
-      auto Adjusted = std::make_move_iterator(Spliced.begin());
+      // Replace each reference in place, moving every other reference at
+      // most once: the list grows to its new size and refills from the
+      // back. A list at capacity doubles, so later splices into the same
+      // user move nothing more; run() trims surviving lists at the end.
+      std::vector<EventRef> &List = Op.Preconds;
       size_t Step = Preconds.size();
-      size_t NewSize = Op.Preconds.size() - Refs + Spliced.size();
-      if (NewSize > Op.Preconds.capacity())
-        Op.Preconds.reserve(std::max(NewSize, 2 * Op.Preconds.capacity()));
-      for (size_t I = 0; I < Op.Preconds.size(); ++I) {
-        if (Op.Preconds[I].Event != From)
-          continue;
-        auto At = Op.Preconds.begin() + static_cast<long>(I);
-        if (!Step) {
-          Op.Preconds.erase(At);
-          --I;
-          continue;
+      if (!Step) {
+        List.erase(std::remove_if(List.begin(), List.end(),
+                                  [From](const EventRef &R) {
+                                    return R.Event == From;
+                                  }),
+                   List.end());
+      } else {
+        size_t OldSize = List.size();
+        size_t Out = OldSize - Refs + Spliced.size();
+        if (Out > List.capacity())
+          List.reserve(std::max(Out, 2 * List.capacity()));
+        List.resize(Out);
+        size_t Next = Spliced.size();
+        for (size_t I = OldSize; I-- > 0;) {
+          if (List[I].Event == From) {
+            for (size_t K = 0; K < Step; ++K)
+              List[--Out] = std::move(Spliced[--Next]);
+          } else if (--Out != I) {
+            List[Out] = std::move(List[I]);
+          }
         }
-        *At = *Adjusted++;
-        Op.Preconds.insert(At + 1, Adjusted,
-                           Adjusted + static_cast<long>(Step - 1));
-        Adjusted += static_cast<long>(Step - 1);
-        I += Step - 1;
       }
       if (Refs)
         for (const EventRef &P : Preconds) {
