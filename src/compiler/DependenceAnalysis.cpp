@@ -547,11 +547,9 @@ TensorHandle AnalysisContext::index(PartitionHandle Part, ScalarExprs Color) {
     return {};
   }
   auto [Id, Priv] = Tables.Parts[Part.Index];
-  TensorSlice Slice;
-  Slice.Tensor = A.module().partition(Id).Base.Tensor;
-  Slice.Part = Id;
-  Slice.Color.assign(Color.begin(), Color.end());
-  return bindParam(std::move(Slice), Priv);
+  return bindParam(
+      TensorSlice::piece(A.module().partition(Id).Base.Tensor, Id, Color),
+      Priv);
 }
 
 void AnalysisContext::launch(const std::string &Task, TensorHandles Args,

@@ -20,11 +20,11 @@
 
 #include "ir/Scalar.h"
 #include "machine/Machine.h"
+#include "support/ArrayView.h"
 #include "support/InlineVector.h"
 #include "tensor/Partition.h"
 #include "tensor/Shape.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -92,7 +92,7 @@ struct TensorSlice {
     return Slice;
   }
   static TensorSlice piece(TensorId Tensor, PartitionId Part,
-                           std::vector<ScalarExpr> Color) {
+                           ArrayView<ScalarExpr> Color) {
     TensorSlice Slice;
     Slice.Tensor = Tensor;
     Slice.Part = Part;
@@ -135,10 +135,7 @@ struct EventType {
   InlineVector<EventDim, 4> Dims;
 
   bool isUnit() const { return Dims.empty(); }
-  bool operator==(const EventType &Other) const {
-    return Dims.size() == Other.Dims.size() &&
-           std::equal(Dims.begin(), Dims.end(), Other.Dims.begin());
-  }
+  bool operator==(const EventType &Other) const { return Dims == Other.Dims; }
 };
 
 /// An event definition. Events are defined by asynchronous operations and by

@@ -18,6 +18,7 @@
 #ifndef CYPRESS_SUPPORT_INLINEVECTOR_H
 #define CYPRESS_SUPPORT_INLINEVECTOR_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -75,6 +76,10 @@ public:
   }
 
   void clear() { Sz = 0; }
+
+  bool operator==(const InlineVector &Other) const {
+    return Sz == Other.Sz && std::equal(begin(), end(), Other.begin());
+  }
 
   void pop_back() {
     assert(Sz > 0 && "pop_back on an empty vector");

@@ -16,7 +16,6 @@
 
 #include "support/InlineVector.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
@@ -92,10 +91,7 @@ public:
     return Index;
   }
 
-  bool operator==(const Shape &Other) const {
-    return Dims.size() == Other.Dims.size() &&
-           std::equal(Dims.begin(), Dims.end(), Other.Dims.begin());
-  }
+  bool operator==(const Shape &Other) const { return Dims == Other.Dims; }
   bool operator!=(const Shape &Other) const { return !(*this == Other); }
 
   std::string toString() const {
