@@ -80,17 +80,11 @@ struct Scope {
     Size = 0;
   }
 
-  TensorState *find(TensorId Tensor) {
-    if (Tensor >= SlotOf.size() || SlotOf[Tensor] == NoSlot)
-      return nullptr;
-    return &Slots[SlotOf[Tensor]];
-  }
-
   TensorState &get(TensorId Tensor) {
-    if (TensorState *Have = find(Tensor))
-      return *Have;
     if (Tensor >= SlotOf.size())
       SlotOf.resize(Tensor + 1, NoSlot);
+    if (SlotOf[Tensor] != NoSlot)
+      return Slots[SlotOf[Tensor]];
     SlotOf[Tensor] = static_cast<uint32_t>(Size);
     if (Size == Slots.size())
       Slots.emplace_back();
