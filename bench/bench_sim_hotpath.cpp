@@ -10,7 +10,10 @@
 /// mapping_explorer tuning grid — the two numbers the PR 4 simulator
 /// rewrite is accountable for. Every candidate evaluation in the autotuner
 /// bottoms out in runTiming, so µs-per-run here multiplies directly into
-/// sweep throughput. Under CYPRESS_BENCH_JSON the results are dumped as
+/// sweep throughput. A seeded sample of guided-space points at the tune
+/// workload's problem sizes measures the kernels the tuner actually times,
+/// with the schedule expansion's share of each run. Under
+/// CYPRESS_BENCH_JSON the results are dumped as
 /// BENCH_sim_hotpath.json (schema in docs/BENCHMARKS.md); CI compares the
 /// wall times against the committed bench/baselines snapshot.
 ///
@@ -20,6 +23,8 @@
 
 #include "autotune/KernelSpaces.h"
 #include "autotune/Tuner.h"
+#include "sim/Schedule.h"
+#include "support/Random.h"
 
 #include <chrono>
 
@@ -75,6 +80,100 @@ HotpathRow timeKernel(const char *Name, const OwnedKernel &Owned, int Runs,
   return Row;
 }
 
+/// The guided sample: per family, the mean over its points of the best
+/// µs per runTiming and per Schedule::expand alone.
+struct GuidedFamily {
+  const char *Name;
+  size_t Points = 0;
+  double MicrosPerRun = 0.0;
+  double ExpandMicros = 0.0;
+};
+
+/// A fixed seeded sample of feasible guided GEMM/FA2/FA3 points at the
+/// tune workload's problem sizes (GEMM M, N, K each from {4096, 6144,
+/// 8192}; attention SEQ from {2048, ..., 16384}), drawn the way the
+/// seeded compile points of tests/TestKernels.h are: uniform indices into
+/// the mapping space, infeasible and uncompilable points skipped. Each
+/// point is timed in batches of \p Runs, and its schedule expansion alone
+/// the same way, keeping each one's fastest of kQuietBestOf batches.
+std::vector<GuidedFamily> timeGuidedSample(size_t PointsPerFamily, int Runs) {
+  const MachineModel &H100 = MachineModel::h100();
+  const int64_t GemmSizes[] = {4096, 6144, 8192};
+  const int64_t SeqLens[] = {2048, 4096, 8192, 16384};
+  SplitMix64 Rng(0x51a7e5eedULL);
+  std::vector<GuidedFamily> Families = {{"gemm"}, {"fa2"}, {"fa3"}};
+  ScalarEnv Block; // Block 0, as simulate() times it.
+  for (Processor P : {Processor::Block, Processor::Warpgroup, Processor::Warp,
+                      Processor::Thread})
+    Block.ProcIndices[P] = 0;
+  Schedule Sched;
+  for (size_t FI = 0; FI < Families.size(); ++FI) {
+    GuidedFamily &F = Families[FI];
+    while (F.Points < PointsPerFamily) {
+      KernelSearchSpec Spec;
+      if (FI == 0) {
+        GemmConfig Config;
+        Config.M = GemmSizes[Rng.nextBelow(3)];
+        Config.N = GemmSizes[Rng.nextBelow(3)];
+        Config.K = GemmSizes[Rng.nextBelow(3)];
+        Spec = gemmSearchSpec(Config, gemmGuidedAxes());
+      } else {
+        int64_t Seq = SeqLens[Rng.nextBelow(4)];
+        Spec = attentionSearchSpec(FI == 1 ? fa2Config(Seq) : fa3Config(Seq),
+                                   attentionGuidedAxes());
+      }
+      MappingSpace Space(Spec, H100);
+      MappingSpace::Candidate Cand =
+          Space.candidateAt(Rng.nextBelow(Space.size()));
+      if (!Cand.feasible())
+        continue;
+      TaskRegistry Registry;
+      Spec.Register(Registry);
+      MappingSpec Mapping = Spec.BuildMapping(Cand.Point);
+      CompileInput Input{&Registry, &Mapping, &H100,
+                         Spec.BuildArgs(Cand.Point)};
+      ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
+          compileKernel(Input, F.Name);
+      if (!Kernel)
+        continue;
+      const CompiledKernel &K = **Kernel;
+      const Operation *Grid = nullptr;
+      for (const std::unique_ptr<Operation> &Op : K.module().root().Ops)
+        if (Op->Kind == OpKind::PFor && Op->PForProc == Processor::Block)
+          Grid = Op.get();
+      SimHints Hints;
+      if (!K.stats().Passes.empty()) {
+        Hints.NumOps = K.stats().Passes.back().OpsAfter;
+        Hints.NumEvents = K.stats().Passes.back().EventsAfter;
+      }
+      if (!Grid || !K.runTiming())
+        continue;
+      double BestRun = 0.0, BestExpand = 0.0;
+      for (int Batch = 0; Batch < kQuietBestOf; ++Batch) {
+        Clock::time_point Start = Clock::now();
+        for (int I = 0; I < Runs; ++I)
+          (void)K.runTiming();
+        double Run = millisSince(Start) * 1000.0 / Runs;
+        Start = Clock::now();
+        for (int I = 0; I < Runs; ++I)
+          (void)Sched.expand(K.module(), *Grid, Block, nullptr, "expand",
+                             &K.sharedPlan(), &Hints);
+        double Expand = millisSince(Start) * 1000.0 / Runs;
+        if (Batch == 0 || Run < BestRun)
+          BestRun = Run;
+        if (Batch == 0 || Expand < BestExpand)
+          BestExpand = Expand;
+      }
+      F.MicrosPerRun += BestRun;
+      F.ExpandMicros += BestExpand;
+      ++F.Points;
+    }
+    F.MicrosPerRun /= static_cast<double>(F.Points);
+    F.ExpandMicros /= static_cast<double>(F.Points);
+  }
+  return Families;
+}
+
 } // namespace
 
 int main() {
@@ -123,6 +222,25 @@ int main() {
               "%.1f us/run with armed deadline (%+.2f%%)\n",
               Rows[0].MicrosPerRun, GemmDeadline.MicrosPerRun,
               CheckpointPct);
+
+  // The traffic tune times: guided points at its problem sizes, 3-8x the
+  // headline kernels' cost per run.
+  const size_t GuidedPerFamily = 8;
+  const int GuidedRuns = 20;
+  std::vector<GuidedFamily> Guided =
+      timeGuidedSample(GuidedPerFamily, GuidedRuns);
+  double GuidedRun = 0.0, GuidedExpand = 0.0;
+  std::printf("\n== Guided sample at tune sizes (%zu points per family) ==\n"
+              "%-8s %14s %14s\n",
+              GuidedPerFamily, "family", "us/run", "expand us");
+  for (const GuidedFamily &F : Guided) {
+    std::printf("%-8s %14.1f %14.1f\n", F.Name, F.MicrosPerRun,
+                F.ExpandMicros);
+    GuidedRun += F.MicrosPerRun / static_cast<double>(Guided.size());
+    GuidedExpand += F.ExpandMicros / static_cast<double>(Guided.size());
+  }
+  std::printf("%-8s %14.1f %14.1f (expansion %.0f%% of a run)\n", "mean",
+              GuidedRun, GuidedExpand, 100.0 * GuidedExpand / GuidedRun);
 
   // The mapping_explorer grid, end to end: enumerate + prune + compile +
   // simulate on a cold session (no kernel- or cost-cache reuse), exactly
@@ -186,10 +304,23 @@ int main() {
     std::fprintf(Out,
                  "  \"sweep\": {\"candidates\": %zu, \"pruned\": %zu, "
                  "\"pipelines_run\": %zu, \"wall_ms\": %.6g, "
-                 "\"compile_us\": %.6g, \"sim_us\": %.6g}\n}\n",
+                 "\"compile_us\": %.6g, \"sim_us\": %.6g},\n",
                  Sweep.Stats.Candidates, Sweep.Stats.Pruned,
                  Sweep.Stats.PipelinesRun, SweepMillis, CompileMicros,
                  SimMicros);
+    std::fprintf(Out,
+                 "  \"guided\": {\"points\": %zu, \"runs\": %d, "
+                 "\"us_per_run\": %.6g, \"expand_us\": %.6g, "
+                 "\"families\": [",
+                 GuidedPerFamily * Guided.size(), GuidedRuns, GuidedRun,
+                 GuidedExpand);
+    for (size_t I = 0; I < Guided.size(); ++I)
+      std::fprintf(Out,
+                   "%s{\"family\": \"%s\", \"us_per_run\": %.6g, "
+                   "\"expand_us\": %.6g}",
+                   I ? ", " : "", Guided[I].Name, Guided[I].MicrosPerRun,
+                   Guided[I].ExpandMicros);
+    std::fprintf(Out, "]}\n}\n");
     std::fclose(Out);
   }
   return 0;

@@ -49,6 +49,12 @@ def metrics_sim_hotpath(doc):
             # Summed per-candidate compile times inflate under worker-pool
             # contention independent of code changes; report only.
             yield "sweep compile_us", (sweep["compile_us"], False)
+    guided = doc.get("guided")
+    if guided:
+        # The tune-sized guided sample and its expansion share: reported,
+        # not gated, until repeated runs show how widely they spread.
+        yield "guided us_per_run", (guided["us_per_run"], False)
+        yield "guided expand_us", (guided["expand_us"], False)
 
 
 def metrics_compile_time(doc):

@@ -146,12 +146,11 @@ private:
       bool Progress = false;
       bool Pending = false;
       for (size_t Agent = 0; Agent < NumAgents && !Failure; ++Agent) {
-        const std::vector<uint32_t> &Stream = Sched.stream(Agent);
+        const std::vector<Schedule::InstRec> &Stream = Sched.stream(Agent);
         while (Cursor[Agent] < Stream.size()) {
-          const Schedule::InstRec &Inst = Sched.inst(Stream[Cursor[Agent]]);
-          double Wait;
-          uint64_t BlockedAt;
-          if (!Sched.ready(Inst, /*BarrierLatency=*/0.0, Wait, BlockedAt)) {
+          const Schedule::InstRec &Inst = Stream[Cursor[Agent]];
+          Schedule::Check HeadCheck;
+          if (!Sched.ready(Inst, /*BarrierLatency=*/0.0, HeadCheck)) {
             ++Stats.Stalls;
             break;
           }
@@ -171,10 +170,10 @@ private:
         continue;
       }
       for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
-        const std::vector<uint32_t> &Stream = Sched.stream(Agent);
+        const std::vector<Schedule::InstRec> &Stream = Sched.stream(Agent);
         if (Cursor[Agent] >= Stream.size())
           continue;
-        const Operation &Op = *Sched.inst(Stream[Cursor[Agent]]).Op;
+        const Operation &Op = Sched.op(Stream[Cursor[Agent]]);
         fail(formatString(
             "lowered-execution deadlock: agent %zu blocked at %s "
             "(event producer missing or never scheduled)",
@@ -188,7 +187,7 @@ private:
   /// under, then completes it in the schedule (the lowering keeps no
   /// clock, so every completion is at time 0).
   void executeInstance(const Schedule::InstRec &Inst) {
-    const Operation &Op = *Inst.Op;
+    const Operation &Op = Sched.op(Inst);
     ++Stats.Instances;
 
     // Enumerate the sub-warpgroup processor dims (warps/threads); the

@@ -109,6 +109,8 @@ public:
 
   /// True if the expression mentions loop variable \p Id.
   bool usesLoopVar(LoopVarId Id) const;
+  /// True if the expression mentions any loop variable.
+  bool usesAnyLoopVar() const;
   /// True if the expression mentions any processor index.
   bool usesProcIndex() const;
 
@@ -178,6 +180,10 @@ inline bool ScalarExpr::isConstant() const {
 inline int64_t ScalarExpr::constantValue() const {
   assert(isConstant() && "expression is not constant");
   return Node->Value;
+}
+
+inline bool ScalarExpr::usesAnyLoopVar() const {
+  return Node->LoopVarMask != 0;
 }
 
 inline bool ScalarExpr::usesProcIndex() const { return Node->HasProcIndex; }

@@ -28,24 +28,27 @@ bool hasWarpgroupDim(const Operation &Op) {
 
 /// One in-grid precondition of an op, resolved once per expansion by
 /// buildTemplates. Only the warpgroup index depends on the instance; its
-/// expression is kept for expansion to evaluate.
+/// expression is kept for evaluation per replica or per instance.
 struct Schedule::PrecondTmpl {
   EventId Event = InvalidEventId;
   int64_t IterLag = 0;
   const ScalarExpr *WgIndex = nullptr; ///< Null when not indexed.
   bool Broadcast = false;
+
+  PrecondDesc desc(const ScalarEnv &Env) const {
+    return {Event, IterLag,
+            WgIndex ? static_cast<int32_t>(WgIndex->evaluate(Env)) : -1,
+            Broadcast};
+  }
 };
 
-/// One shared-memory access of an op, resolved once per expansion by
-/// buildTemplates: the tensor's allocation, with the buffer index
-/// expression kept for expansion to evaluate.
-struct Schedule::SmemTmpl {
-  TensorId Tensor = InvalidTensorId;
-  int64_t Offset = 0;   ///< Allocation offset of buffer 0.
-  int64_t BufBytes = 0; ///< Bytes of one pipeline buffer.
-  const ScalarExpr *BufferIndex = nullptr;
-  bool Write = false;
-};
+namespace {
+
+int64_t bufferLo(const Schedule::SmemSite &Site, const ScalarEnv &Env) {
+  return Site.Offset + Site.BufferIndex->evaluate(Env) * Site.Bytes;
+}
+
+} // namespace
 
 /// One top-level unit of expansion work: a bare Copy/Call directly in the
 /// grid body, or one iteration of a top-level sequential loop. The unit
@@ -73,15 +76,16 @@ struct Schedule::OpAcc {
 /// renumber without a per-shard map: values below the top-level loop count
 /// name a global (pre-created) top-level loop instance, values at or above
 /// it name this shard's local loop instances and are shifted by the
-/// shard's final base offset. Pooled inside the schedule so steady-state
-/// sharded runs allocate nothing.
+/// shard's final base offset. A loop-dependent instance's precondition and
+/// smem offsets count from the end of the schedule's tables, as if its
+/// shard came first; the merge shifts the later shards'. Pooled inside the
+/// schedule so steady-state sharded runs allocate nothing.
 struct Schedule::ShardBuf {
-  std::vector<InstRec> Insts;
-  std::vector<std::vector<uint32_t>> Streams; ///< Shard-local inst indices.
+  std::vector<std::vector<InstRec>> Streams;
   std::vector<int64_t> Coords;
   std::vector<uint32_t> LoopPaths; ///< Encoded loop-instance ids.
-  std::vector<PrecondDesc> Preconds;
-  std::vector<SmemPre> SmemPres;
+  std::vector<PrecondDesc> Preconds; ///< Loop-dependent instances' only.
+  std::vector<int64_t> SmemLo;       ///< Loop-dependent instances' only.
   std::vector<LoopInst> Loops;       ///< Nested loop instances (local ids).
   std::vector<int64_t> TopRemaining; ///< Contributions to top-level loops.
   std::vector<OpAcc> Ops;
@@ -89,10 +93,9 @@ struct Schedule::ShardBuf {
   std::vector<int64_t> CoordStack;
   std::vector<uint32_t> LoopPath;
   /// The cursor's coordinates and loop path interned into Coords and
-  /// LoopPaths, shared by every instance expanded under it; StackDirty
-  /// marks a cursor change since the last interning.
-  uint32_t StackCoordOff = 0, StackLoopOff = 0;
-  size_t StackHash = 0;
+  /// LoopPaths at one offset, shared by every instance expanded under it;
+  /// StackDirty marks a cursor change since the last interning.
+  uint32_t StackOff = 0;
   bool StackDirty = true;
   /// Loop-variable bindings are overwritten in place and deliberately NOT
   /// erased on scope exit or between runs: each erase/re-emplace pair is a
@@ -105,14 +108,13 @@ struct Schedule::ShardBuf {
 
   void reset(size_t NumAgents, size_t NumOps, size_t NumTopLoops,
              const ScalarEnv &Base) {
-    Insts.clear();
     Coords.clear();
     LoopPaths.clear();
     Preconds.clear();
-    SmemPres.clear();
+    SmemLo.clear();
     Loops.clear();
     Streams.resize(NumAgents);
-    for (std::vector<uint32_t> &Stream : Streams)
+    for (std::vector<InstRec> &Stream : Streams)
       Stream.clear();
     TopRemaining.assign(NumTopLoops, 0);
     Ops.assign(NumOps, OpAcc());
@@ -141,14 +143,13 @@ ErrorOrVoid Schedule::expand(const IRModule &Module, const Operation &Grid,
                              const SimHints *Hints, SimWorkerPool *Pool) {
   // Clear every table but keep its capacity. The per-agent streams are
   // sized below, once the pre-walk has counted the warpgroups.
-  Insts.clear();
   Coords.clear();
   LoopPaths.clear();
   Preconds.clear();
-  SmemPres.clear();
+  SmemLo.clear();
   Ops.clear();
   PrecondTmpls.clear();
-  SmemTmpls.clear();
+  SmemSites.clear();
   OpDense.clear();
   KnownEvents.clear();
   // Pooling keeps steady-state runs allocation-free, but one outsized
@@ -159,6 +160,7 @@ ErrorOrVoid Schedule::expand(const IRModule &Module, const Operation &Grid,
     Times.shrink_to_fit();
   Loops.clear();
   ChainArena.clear();
+  Boxes.clear();
   Units.clear();
   // Shards are reset by expandShards (only the ones it uses).
   Events.assign(Module.numEvents(), EventRec());
@@ -167,7 +169,6 @@ ErrorOrVoid Schedule::expand(const IRModule &Module, const Operation &Grid,
     // manager's PipelineStats) pre-size the per-run tables.
     Ops.reserve(Hints->NumOps);
     OpDense.reserve(Hints->NumOps);
-    Insts.reserve(Hints->NumOps);
     KnownEvents.reserve(Hints->NumEvents);
   }
   Wgs = 1;
@@ -175,17 +176,17 @@ ErrorOrVoid Schedule::expand(const IRModule &Module, const Operation &Grid,
   Failure.reset();
 
   indexOps(Grid.Body);
-  buildTemplates(Module, Grid, Alloc);
+  buildTemplates(Module, Grid, Base, Alloc);
 
   // Agent 0 = DMA warp; agents 1..Wgs = compute warpgroups.
   NumAgents = 1 + static_cast<size_t>(Wgs);
   Streams.resize(NumAgents);
-  for (std::vector<uint32_t> &Stream : Streams)
+  for (std::vector<InstRec> &Stream : Streams)
     Stream.clear();
 
   buildUnits(Grid, Base);
   if (!Failure)
-    expandShards(Base, Hints, Pool, Cancel, CheckpointLabel);
+    expandShards(Base, Pool, Cancel, CheckpointLabel);
   if (!Failure)
     buildEventTables(Pool);
   if (Failure)
@@ -239,6 +240,7 @@ uint32_t Schedule::assignDense(const Operation &Op) {
   Ops.emplace_back();
   OpRec &Rec = Ops.back();
   Rec.Op = &Op;
+  Rec.Result = Op.Result;
   Rec.Depth = static_cast<uint32_t>(LoopOpStack.size());
   Rec.ChainOff = static_cast<uint32_t>(ChainArena.size());
   ChainArena.insert(ChainArena.end(), LoopOpStack.begin(), LoopOpStack.end());
@@ -250,10 +252,16 @@ uint32_t Schedule::assignDense(const Operation &Op) {
 /// warpgroup replication, its in-grid preconditions (references to other
 /// events are always ready, so they are dropped here rather than skipped
 /// by every readiness check), and the allocation of every shared-memory
-/// tensor it touches. Expansion then evaluates only the warpgroup and
-/// buffer index expressions.
+/// tensor it touches. An op's warpgroup and buffer indices usually depend
+/// on its replica alone; fillTables then evaluates them once per replica,
+/// and expansion evaluates only those of loop-dependent ops.
 void Schedule::buildTemplates(const IRModule &Module, const Operation &Grid,
+                              const ScalarEnv &Base,
                               const SharedAllocation *Alloc) {
+  // Overwritten in place, like a shard's environment: steady-state runs
+  // allocate no map nodes.
+  for (const auto &[Proc, Value] : Base.ProcIndices)
+    TableEnv.ProcIndices[Proc] = Value;
   for (OpRec &Rec : Ops) {
     const Operation &Op = *Rec.Op;
     if (Op.Kind != OpKind::Copy && Op.Kind != OpKind::Call)
@@ -278,10 +286,10 @@ void Schedule::buildTemplates(const IRModule &Module, const Operation &Grid,
       }
       PrecondTmpls.push_back(P);
     }
-    Rec.PrecondTmplCount =
+    Rec.PrecondCount =
         static_cast<uint32_t>(PrecondTmpls.size()) - Rec.PrecondTmplOff;
 
-    Rec.SmemTmplOff = static_cast<uint32_t>(SmemTmpls.size());
+    Rec.SmemSiteOff = static_cast<uint32_t>(SmemSites.size());
     auto Record = [&](const TensorSlice &Slice, bool Write) {
       const IRTensor &T = Module.tensor(Slice.Tensor);
       if (!Alloc || T.Mem != Memory::Shared)
@@ -289,7 +297,7 @@ void Schedule::buildTemplates(const IRModule &Module, const Operation &Grid,
       const SharedAllocation::Entry *Entry = Alloc->find(Slice.Tensor);
       if (!Entry)
         return;
-      SmemTmpls.push_back(
+      SmemSites.push_back(
           {Slice.Tensor, Entry->Offset,
            Entry->Bytes / std::max<int64_t>(T.PipelineDepth, 1),
            &Slice.BufferIndex, Write});
@@ -301,8 +309,44 @@ void Schedule::buildTemplates(const IRModule &Module, const Operation &Grid,
       for (size_t I = 0; I < Op.Args.size(); ++I)
         Record(Op.Args[I], Op.ArgIsWritten[I]);
     }
-    Rec.SmemTmplCount =
-        static_cast<uint32_t>(SmemTmpls.size()) - Rec.SmemTmplOff;
+    Rec.SmemCount = static_cast<uint32_t>(SmemSites.size()) - Rec.SmemSiteOff;
+    fillTables(Rec);
+  }
+  FixedPreconds = static_cast<uint32_t>(Preconds.size());
+  FixedSmem = static_cast<uint32_t>(SmemLo.size());
+}
+
+/// Builds \p Rec's per-(op, warpgroup) tables: the precondition
+/// descriptors when no warpgroup index mentions a loop variable, the
+/// buffer byte offsets when no buffer index does. Such an index depends
+/// only on the block's processor indices and the replica, which is all
+/// TableEnv binds (expansion changes nothing else), so one evaluation per
+/// replica gives every instance's value.
+void Schedule::fillTables(OpRec &Rec) {
+  const PrecondTmpl *P = PrecondTmpls.data() + Rec.PrecondTmplOff;
+  bool PrecondsFixed =
+      std::none_of(P, P + Rec.PrecondCount, [](const PrecondTmpl &T) {
+        return T.WgIndex && T.WgIndex->usesAnyLoopVar();
+      });
+  const SmemSite *M = SmemSites.data() + Rec.SmemSiteOff;
+  bool SmemFixed = std::none_of(M, M + Rec.SmemCount, [](const SmemSite &S) {
+    return S.BufferIndex->usesAnyLoopVar();
+  });
+  Rec.SmemPerReplica = std::any_of(M, M + Rec.SmemCount, [](const SmemSite &S) {
+    return S.BufferIndex->usesProcIndex();
+  });
+  Rec.PrecondTable = PrecondsFixed ? static_cast<uint32_t>(Preconds.size())
+                                   : NoTable;
+  Rec.SmemTable = SmemFixed ? static_cast<uint32_t>(SmemLo.size()) : NoTable;
+  if (!PrecondsFixed && !SmemFixed)
+    return;
+  int64_t &WgIndex = TableEnv.ProcIndices[Processor::Warpgroup];
+  for (int64_t Wg = 0; Wg < std::max<int64_t>(Rec.WgExtent, 1); ++Wg) {
+    WgIndex = Wg;
+    for (uint32_t I = 0; PrecondsFixed && I < Rec.PrecondCount; ++I)
+      Preconds.push_back(P[I].desc(TableEnv));
+    for (uint32_t I = 0; SmemFixed && I < Rec.SmemCount; ++I)
+      SmemLo.push_back(bufferLo(M[I], TableEnv));
   }
 }
 
@@ -350,8 +394,8 @@ void Schedule::buildUnits(const Operation &Grid, const ScalarEnv &Base) {
 /// merges in shard order. The shard count never changes results — only
 /// which thread produced which contiguous slice — so any parallelism,
 /// including none, yields a bit-identical schedule.
-void Schedule::expandShards(const ScalarEnv &Base, const SimHints *Hints,
-                            SimWorkerPool *Pool, const Cancellation *Cancel,
+void Schedule::expandShards(const ScalarEnv &Base, SimWorkerPool *Pool,
+                            const Cancellation *Cancel,
                             const char *CheckpointLabel) {
   size_t NumUnits = Units.size();
   size_t NumShards = 1;
@@ -362,14 +406,6 @@ void Schedule::expandShards(const ScalarEnv &Base, const SimHints *Hints,
   for (size_t I = 0; I < NumShards; ++I) {
     ShardBuf &B = Shards[I];
     B.reset(NumAgents, Ops.size(), NumTopLoops, Base);
-    if (Hints && Hints->NumOps) {
-      // The same IR statistics that pre-size the global tables, divided
-      // across the shards (each sees roughly 1/NumShards of the work).
-      size_t PerShard = Hints->NumOps / NumShards + 1;
-      B.Insts.reserve(PerShard);
-      B.Preconds.reserve(PerShard);
-      B.SmemPres.reserve(PerShard);
-    }
   }
   auto Work = [&](size_t Shard) {
     expandUnitRange(Shards[Shard], NumUnits * Shard / NumShards,
@@ -470,76 +506,58 @@ void Schedule::expandShardBlock(ShardBuf &B, const IRBlock &Block) {
 void Schedule::expandShardOp(ShardBuf &B, const Operation &Op) {
   uint32_t OpIdx = OpDense[Op.Id];
   const OpRec &T = Ops[OpIdx];
+  uint32_t Replicas =
+      T.WgExtent >= 0 ? static_cast<uint32_t>(T.WgExtent) : 1u;
+  if (Replicas == 0)
+    return;
+  B.Ops[OpIdx].Visited = true;
   if (B.StackDirty) {
     // Every instance under one cursor position shares one interned copy
     // of its coordinates and loop path.
-    B.StackCoordOff = static_cast<uint32_t>(B.Coords.size());
+    B.StackOff = static_cast<uint32_t>(B.Coords.size());
     B.Coords.insert(B.Coords.end(), B.CoordStack.begin(), B.CoordStack.end());
-    B.StackLoopOff = static_cast<uint32_t>(B.LoopPaths.size());
     B.LoopPaths.insert(B.LoopPaths.end(), B.LoopPath.begin(),
                        B.LoopPath.end());
-    B.StackHash = 0;
-    for (int64_t I : B.CoordStack)
-      B.StackHash = B.StackHash * 1000003u + static_cast<size_t>(I + 1);
     B.StackDirty = false;
   }
-  if (T.WgExtent >= 0) {
-    for (int64_t Wg = 0; Wg < T.WgExtent; ++Wg)
-      pushInstance(B, T, OpIdx, Wg, T.Dma ? 0 : 1 + static_cast<size_t>(Wg));
-  } else {
-    pushInstance(B, T, OpIdx, -1, T.Dma ? 0 : 1);
-  }
-}
-
-/// Materializes one executable instance of template \p T into \p B:
-/// evaluates its warpgroup and buffer indices under the instance's
-/// environment, counts it against every enclosing loop instance, and
-/// appends it to its agent's stream.
-void Schedule::pushInstance(ShardBuf &B, const OpRec &T, uint32_t OpIdx,
-                            int64_t Wg, size_t Agent) {
-  B.Ops[OpIdx].Visited = true;
-  InstRec R;
-  R.Op = T.Op;
-  R.Wg = static_cast<int32_t>(Wg);
-  R.OpIdx = OpIdx;
-  R.Depth = static_cast<uint32_t>(B.CoordStack.size());
-  R.CoordOff = B.StackCoordOff;
-  R.LoopOff = B.StackLoopOff;
-
   // Count every instance against every enclosing loop so the loop's
   // completion event fires when all body instances have finished. The
   // top-level loop a shard shares with its peers is counted privately and
   // summed at merge time.
   for (uint32_t LI : B.LoopPath) {
     if (LI < NumTopLoops)
-      ++B.TopRemaining[LI];
+      B.TopRemaining[LI] += Replicas;
     else
-      ++B.Loops[LI - NumTopLoops].Remaining;
+      B.Loops[LI - NumTopLoops].Remaining += Replicas;
   }
-
-  B.WgIt->second = std::max<int64_t>(Wg, 0);
-  const ScalarEnv &Env = B.Env;
-
-  R.PrecondOff = static_cast<uint32_t>(B.Preconds.size());
-  R.PrecondCount = T.PrecondTmplCount;
-  const PrecondTmpl *P = PrecondTmpls.data() + T.PrecondTmplOff;
-  for (uint32_t I = 0; I < T.PrecondTmplCount; ++I, ++P)
-    B.Preconds.push_back(
-        {P->Event, P->IterLag,
-         P->WgIndex ? static_cast<int32_t>(P->WgIndex->evaluate(Env)) : -1,
-         P->Broadcast});
-
-  R.SmemOff = static_cast<uint32_t>(B.SmemPres.size());
-  R.SmemCount = T.SmemTmplCount;
-  const SmemTmpl *M = SmemTmpls.data() + T.SmemTmplOff;
-  for (uint32_t I = 0; I < T.SmemTmplCount; ++I, ++M) {
-    int64_t Lo = M->Offset + M->BufferIndex->evaluate(Env) * M->BufBytes;
-    B.SmemPres.push_back({M->Tensor, T.Op->Id, Lo, Lo + M->BufBytes,
-                          B.StackHash, static_cast<int32_t>(Wg), M->Write});
+  // One instance per replica, on its agent. Its preconditions and smem
+  // offsets are a row of the op's tables; only a loop-dependent op
+  // evaluates its indices here, under the instance's environment (smem
+  // offsets once for all replicas unless a buffer index names one).
+  InstRec R;
+  R.OpIdx = OpIdx;
+  R.PathOff = B.StackOff;
+  for (uint32_t Replica = 0; Replica < Replicas; ++Replica) {
+    R.Wg = T.WgExtent >= 0 ? static_cast<int32_t>(Replica) : -1;
+    B.WgIt->second = Replica;
+    if (T.PrecondTable != NoTable) {
+      R.PrecondOff = T.PrecondTable + Replica * T.PrecondCount;
+    } else {
+      R.PrecondOff = FixedPreconds + static_cast<uint32_t>(B.Preconds.size());
+      const PrecondTmpl *P = PrecondTmpls.data() + T.PrecondTmplOff;
+      for (uint32_t I = 0; I < T.PrecondCount; ++I)
+        B.Preconds.push_back(P[I].desc(B.Env));
+    }
+    if (T.SmemTable != NoTable) {
+      R.SmemOff = T.SmemTable + Replica * T.SmemCount;
+    } else if (Replica == 0 || T.SmemPerReplica) {
+      R.SmemOff = FixedSmem + static_cast<uint32_t>(B.SmemLo.size());
+      const SmemSite *M = SmemSites.data() + T.SmemSiteOff;
+      for (uint32_t I = 0; I < T.SmemCount; ++I)
+        B.SmemLo.push_back(bufferLo(M[I], B.Env));
+    }
+    B.Streams[T.Dma ? 0 : 1 + Replica].push_back(R);
   }
-
-  B.Insts.push_back(R);
-  B.Streams[Agent].push_back(static_cast<uint32_t>(B.Insts.size() - 1));
 }
 
 /// Concatenates the shard buffers into the global arenas in shard order,
@@ -568,42 +586,39 @@ void Schedule::mergeShards(size_t NumShards) {
       Loops[T].Remaining += B.TopRemaining[T];
     Loops.insert(Loops.end(), B.Loops.begin(), B.Loops.end());
 
+    // Loop-dependent entries follow the tables and the earlier shards'.
+    uint32_t PrecondShift = static_cast<uint32_t>(Preconds.size()) -
+                            FixedPreconds;
+    uint32_t SmemShift = static_cast<uint32_t>(SmemLo.size()) - FixedSmem;
+    Preconds.insert(Preconds.end(), B.Preconds.begin(), B.Preconds.end());
+    SmemLo.insert(SmemLo.end(), B.SmemLo.begin(), B.SmemLo.end());
     if (SI == 0) {
-      // The global arenas are still empty, so shard 0's offsets and loop
-      // ids are final: adopt its buffers instead of copying them. (The
-      // swapped-out buffers keep their capacity in the shard.)
-      Insts.swap(B.Insts);
+      // The global streams and paths are still empty, so shard 0's offsets
+      // and loop ids are final: adopt its buffers instead of copying them.
+      // (The swapped-out buffers keep their capacity in the shard.)
       Coords.swap(B.Coords);
       LoopPaths.swap(B.LoopPaths);
-      Preconds.swap(B.Preconds);
-      SmemPres.swap(B.SmemPres);
       for (size_t A = 0; A < NumAgents; ++A)
         Streams[A].swap(B.Streams[A]);
       LoopShift = static_cast<uint32_t>(B.Loops.size());
       continue;
     }
 
-    uint32_t InstBase = static_cast<uint32_t>(Insts.size());
-    uint32_t CoordBase = static_cast<uint32_t>(Coords.size());
-    uint32_t LoopPathBase = static_cast<uint32_t>(LoopPaths.size());
-    uint32_t PrecondBase = static_cast<uint32_t>(Preconds.size());
-    uint32_t SmemBase = static_cast<uint32_t>(SmemPres.size());
-    for (const InstRec &Inst : B.Insts) {
-      InstRec R = Inst;
-      R.CoordOff += CoordBase;
-      R.LoopOff += LoopPathBase;
-      R.PrecondOff += PrecondBase;
-      R.SmemOff += SmemBase;
-      Insts.push_back(R);
+    uint32_t PathBase = static_cast<uint32_t>(Coords.size());
+    for (size_t A = 0; A < NumAgents; ++A) {
+      for (InstRec R : B.Streams[A]) {
+        const OpRec &Op = Ops[R.OpIdx];
+        R.PathOff += PathBase;
+        if (Op.PrecondTable == NoTable)
+          R.PrecondOff += PrecondShift;
+        if (Op.SmemTable == NoTable)
+          R.SmemOff += SmemShift;
+        Streams[A].push_back(R);
+      }
     }
     Coords.insert(Coords.end(), B.Coords.begin(), B.Coords.end());
-    Preconds.insert(Preconds.end(), B.Preconds.begin(), B.Preconds.end());
-    SmemPres.insert(SmemPres.end(), B.SmemPres.begin(), B.SmemPres.end());
     for (uint32_t Entry : B.LoopPaths)
       LoopPaths.push_back(Entry < NumTopLoops ? Entry : Entry + LoopShift);
-    for (size_t A = 0; A < NumAgents; ++A)
-      for (uint32_t Idx : B.Streams[A])
-        Streams[A].push_back(Idx + InstBase);
     LoopShift += static_cast<uint32_t>(B.Loops.size());
   }
 }
@@ -623,19 +638,19 @@ void Schedule::buildEventTables(SimWorkerPool *Pool) {
     if (Dense != ~0u && !Ops[Dense].Visited)
       Dense = ~0u;
     Rec.Depth = 0;
-    Rec.ChainOff = 0;
+    Rec.BoxOff = static_cast<uint32_t>(Boxes.size());
     Rec.CoordCount = 1;
     if (Dense != ~0u) {
       const OpRec &Producer = Ops[Dense];
       Rec.Depth = Producer.Depth;
-      Rec.ChainOff = Producer.ChainOff;
       for (uint32_t D = 0; D < Rec.Depth; ++D) {
-        const OpRec &Loop = Ops[ChainArena[Rec.ChainOff + D]];
+        const OpRec &Loop = Ops[ChainArena[Producer.ChainOff + D]];
         // The op was reached, so every enclosing loop ran >= 1 iteration.
-        Rec.CoordCount *=
+        uint64_t Extent =
             static_cast<uint64_t>(Loop.MaxCoord - Loop.MinCoord + 1);
-        if (Rec.CoordCount > (uint64_t(1) << 32))
-          break;
+        Boxes.push_back({Loop.MinCoord, Extent});
+        if (Rec.CoordCount <= (uint64_t(1) << 32))
+          Rec.CoordCount *= Extent; // Past 2^32 the total check fails.
       }
     }
     Rec.WgSlots = Rec.WgReplicated ? static_cast<uint32_t>(NumAgents) : 1;

@@ -63,22 +63,26 @@ public:
     bool Broadcast = false;
   };
 
-  /// One shared-memory access of one instance (a byte range of one
-  /// pipeline buffer), for the timing model's race trace.
-  struct SmemPre {
+  /// One shared-memory access site of an op: a byte range of one pipeline
+  /// buffer of \p Tensor's allocation. Which buffer an instance touches is
+  /// its byte offset in the offset arena (smemLo()).
+  struct SmemSite {
     TensorId Tensor = InvalidTensorId;
-    OpId Op = ~0u;
-    int64_t Lo = 0, Hi = 0; ///< Byte range.
-    size_t IterHash = 0;
-    int32_t Wg = -1;
+    int64_t Offset = 0; ///< Allocation offset of buffer 0.
+    int64_t Bytes = 0;  ///< Bytes of one pipeline buffer.
+    const ScalarExpr *BufferIndex = nullptr;
     bool Write = false;
   };
+
+  /// Arena offset of an op with no per-(op, warpgroup) table.
+  static constexpr uint32_t NoTable = ~0u;
 
   /// Per-op record in the dense op table (indexed by a dense id assigned
   /// by the static pre-walk). For Copy/Call ops it also holds the op's
   /// instance template (see buildTemplates).
   struct OpRec {
     const Operation *Op = nullptr;
+    EventId Result = InvalidEventId; ///< Op->Result, next to the hot fields.
     uint32_t Depth = 0;    ///< Number of enclosing sequential loops.
     uint32_t ChainOff = 0; ///< Enclosing loop ops (dense ids), in ChainArena.
     /// For `For` ops: the coordinate range this loop iterates over, across
@@ -86,11 +90,19 @@ public:
     /// every event produced under this loop.
     int64_t MinCoord = std::numeric_limits<int64_t>::max();
     int64_t MaxCoord = std::numeric_limits<int64_t>::min();
-    /// Template: [Off, Off + Count) ranges of the PrecondTmpls/SmemTmpls
+    /// Template: [Off, Off + Count) ranges of the PrecondTmpls/SmemSites
     /// arenas, the warpgroup replica count (-1 when the op has no
     /// warpgroup dim), and whether the DMA agent issues the op.
-    uint32_t PrecondTmplOff = 0, PrecondTmplCount = 0;
-    uint32_t SmemTmplOff = 0, SmemTmplCount = 0;
+    uint32_t PrecondTmplOff = 0, PrecondCount = 0;
+    uint32_t SmemSiteOff = 0, SmemCount = 0;
+    /// Offsets of the op's per-(op, warpgroup) tables in the Preconds and
+    /// SmemLo arenas: PrecondCount (SmemCount) entries per replica. NoTable
+    /// when a warpgroup (buffer) index mentions a loop variable; each
+    /// instance then carries its own entries in the same arena.
+    uint32_t PrecondTable = NoTable, SmemTable = NoTable;
+    /// Whether a buffer index names a processor index: otherwise all
+    /// replicas of a loop-dependent op share one row of smem offsets.
+    bool SmemPerReplica = false;
     int64_t WgExtent = -1;
     bool Dma = false;
     /// Dense slots are assigned by a static pre-walk, so an op can hold a
@@ -100,18 +112,17 @@ public:
     bool Visited = false;
   };
 
-  /// One executable instance of an operation. All variable-length payloads
-  /// (iteration coordinates, loop-instance path, precondition descriptors,
-  /// smem ranges) live in the arenas; the instance stores offsets.
+  /// One executable instance of an operation: its op, its replica and
+  /// offsets into the arenas. Its iteration coordinates and loop-instance
+  /// path share one offset (both are Depth long, interned together); its
+  /// preconditions and smem byte offsets sit in the op's table or, for a
+  /// loop-dependent op, in entries of its own.
   struct InstRec {
-    const Operation *Op = nullptr;
-    int32_t Wg = -1;    ///< -1 when the op has no warpgroup dim.
     uint32_t OpIdx = 0; ///< Dense op table index.
-    uint32_t Depth = 0; ///< Enclosing loop count == coordinate count.
-    uint32_t CoordOff = 0;
-    uint32_t LoopOff = 0;
-    uint32_t PrecondOff = 0, PrecondCount = 0;
-    uint32_t SmemOff = 0, SmemCount = 0;
+    int32_t Wg = -1;    ///< -1 when the op has no warpgroup dim.
+    uint32_t PathOff = 0;
+    uint32_t PrecondOff = 0;
+    uint32_t SmemOff = 0;
   };
 
   // Defined out of line, where the private shard types are complete.
@@ -123,7 +134,7 @@ public:
   /// the completion table, discarding any previous expansion while
   /// keeping every arena's capacity. \p Cancel is polled once per
   /// top-level unit and reports a stop under \p CheckpointLabel. \p Alloc
-  /// places shared-memory accesses for smem(); without one none are
+  /// places shared-memory accesses for smemSites(); without one none are
   /// recorded. \p Hints pre-size the tables; \p Pool shards the expansion.
   ErrorOrVoid expand(const IRModule &Module, const Operation &Grid,
                      const ScalarEnv &Base, const Cancellation *Cancel,
@@ -134,13 +145,21 @@ public:
 
   /// Agent count: the DMA warp plus one agent per compute warpgroup.
   size_t numAgents() const { return NumAgents; }
-  const std::vector<uint32_t> &stream(size_t Agent) const {
+  /// The instances agent \p Agent issues, in program order.
+  const std::vector<InstRec> &stream(size_t Agent) const {
     return Streams[Agent];
   }
-  const InstRec &inst(uint32_t Idx) const { return Insts[Idx]; }
   const std::vector<OpRec> &ops() const { return Ops; }
-  const SmemPre *smem(const InstRec &Inst) const {
-    return SmemPres.data() + Inst.SmemOff;
+  const Operation &op(const InstRec &Inst) const {
+    return *Ops[Inst.OpIdx].Op;
+  }
+  /// The instance's shared-memory access sites and, in step with them, the
+  /// byte offset of the buffer each touches; Ops[OpIdx].SmemCount long.
+  const SmemSite *smemSites(const InstRec &Inst) const {
+    return SmemSites.data() + Ops[Inst.OpIdx].SmemSiteOff;
+  }
+  const int64_t *smemLo(const InstRec &Inst) const {
+    return SmemLo.data() + Inst.SmemOff;
   }
   /// True once the completion slot \p Slot (from ready()) has been filled.
   bool filled(uint64_t Slot) const { return !std::isnan(Times[Slot]); }
@@ -150,29 +169,42 @@ public:
   /// warpgroup index to its replica. Processor indices and host loop
   /// variables are the block's, already in \p Env.
   void bindEnv(const InstRec &Inst, ScalarEnv &Env) const {
-    const uint32_t *Chain = ChainArena.data() + Ops[Inst.OpIdx].ChainOff;
-    const int64_t *C = Coords.data() + Inst.CoordOff;
-    for (uint32_t D = 0; D < Inst.Depth; ++D)
+    const OpRec &Op = Ops[Inst.OpIdx];
+    const uint32_t *Chain = ChainArena.data() + Op.ChainOff;
+    const int64_t *C = Coords.data() + Inst.PathOff;
+    for (uint32_t D = 0; D < Op.Depth; ++D)
       Env.LoopVars[Ops[Chain[D]].Op->LoopVar] = C[D];
     Env.ProcIndices[Processor::Warpgroup] = std::max<int32_t>(Inst.Wg, 0);
   }
 
-  /// Checks the preconditions of an instance in order, stopping at the
-  /// first unmet one; on success \p WaitTime is the time the last of them
-  /// completes, a broadcast wait costing \p BarrierLatency on top. On
-  /// failure \p BlockedAt is the empty completion slot it waits on
-  /// (NoSlot when no slot holds its key). Slots are written once per
-  /// expansion and never cleared, so a head that failed on an empty slot
-  /// fails the same way until filled() says otherwise.
-  bool ready(const InstRec &Inst, double BarrierLatency, double &WaitTime,
-             uint64_t &BlockedAt) const {
-    WaitTime = 0.0;
-    const PrecondDesc *P = Preconds.data() + Inst.PrecondOff;
-    const int64_t *C = Coords.data() + Inst.CoordOff;
-    for (uint32_t I = 0; I < Inst.PrecondCount; ++I, ++P) {
+  /// A readiness check of one instance that can stop at an unmet
+  /// precondition and later resume there: slots are written once per
+  /// expansion and never cleared, so a precondition met once stays met
+  /// with the same time.
+  struct Check {
+    double WaitTime = 0.0; ///< Latest completion among the met ones.
+    uint32_t Next = 0;     ///< First precondition not yet met.
+    uint64_t BlockedAt = NoSlot;
+  };
+
+  /// Checks the preconditions of an instance in order from \p Progress's
+  /// Next, stopping at the first unmet one; on success Progress.WaitTime
+  /// is the time the last of them completes, a broadcast wait costing
+  /// \p BarrierLatency on top. On failure Progress.BlockedAt is the empty
+  /// completion slot it waits on (NoSlot when no slot holds its key); a
+  /// check that failed on an empty slot fails the same way until filled()
+  /// says otherwise.
+  bool ready(const InstRec &Inst, double BarrierLatency,
+             Check &Progress) const {
+    const OpRec &Op = Ops[Inst.OpIdx];
+    const int64_t *C = Coords.data() + Inst.PathOff;
+    double &WaitTime = Progress.WaitTime;
+    uint64_t &BlockedAt = Progress.BlockedAt;
+    for (uint32_t &I = Progress.Next; I < Op.PrecondCount; ++I) {
+      const PrecondDesc *P = Preconds.data() + Inst.PrecondOff + I;
       // Expansion keeps only in-grid events (see buildTemplates).
       const EventRec &Rec = Events[P->Event];
-      uint32_t KeyLen = std::min<uint32_t>(Inst.Depth, Rec.Depth);
+      uint32_t KeyLen = std::min<uint32_t>(Op.Depth, Rec.Depth);
       int64_t Last = KeyLen ? C[KeyLen - 1] : 0;
       if (P->IterLag > 0) {
         if (KeyLen == 0)
@@ -222,11 +254,11 @@ public:
   /// last body instance of a loop instance completes, the loop's event
   /// becomes available at the latest body completion.
   void complete(const InstRec &Inst, double Completion) {
-    const Operation &Op = *Inst.Op;
-    const int64_t *C = Coords.data() + Inst.CoordOff;
+    const OpRec &Op = Ops[Inst.OpIdx];
+    const int64_t *C = Coords.data() + Inst.PathOff;
     if (Op.Result != InvalidEventId) {
       const EventRec &Rec = Events[Op.Result];
-      uint32_t KeyLen = std::min(Inst.Depth, Ops[Inst.OpIdx].Depth);
+      uint32_t KeyLen = Op.Depth;
       uint64_t Idx = 0;
       bool InRange =
           coordIndex(Rec, C, KeyLen, KeyLen ? C[KeyLen - 1] : 0, Idx);
@@ -237,13 +269,13 @@ public:
       Times[Rec.TimesOff + Slot * Rec.CoordCount + Idx] = Completion;
     }
 
-    const uint32_t *Path = LoopPaths.data() + Inst.LoopOff;
-    for (uint32_t D = 0; D < Inst.Depth; ++D) {
+    const uint32_t *Path = LoopPaths.data() + Inst.PathOff;
+    for (uint32_t D = 0; D < Op.Depth; ++D) {
       LoopInst &Loop = Loops[Path[D]];
       Loop.MaxTime = std::max(Loop.MaxTime, Completion);
       if (--Loop.Remaining == 0 && Loop.Event != InvalidEventId) {
-        EventRec &Rec = Events[Loop.Event];
-        Rec.Depth = D;
+        const EventRec &Rec = Events[Loop.Event];
+        assert(Rec.Depth == D && "loop event outside its loop's depth");
         uint64_t Idx = 0;
         bool InRange = coordIndex(Rec, C, D, D ? C[D - 1] : 0, Idx);
         assert(InRange && "loop prefix outside its own coordinate box");
@@ -255,7 +287,6 @@ public:
 
 private:
   struct PrecondTmpl;
-  struct SmemTmpl;
   struct TopUnit;
   struct OpAcc;
   struct ShardBuf;
@@ -265,18 +296,25 @@ private:
   /// Times arena at [TimesOff, TimesOff + WgSlots * CoordCount); NaN marks
   /// "not yet completed". Slot 0 holds the unreplicated (-1) warpgroup
   /// key, slots 1..Wgs the per-warpgroup keys of replicated events. The
-  /// coordinate box is the producer's own enclosing-loop ranges (ChainOff
-  /// into the chain arena), so a slab is exactly as large as the set of
-  /// keys the producer can ever register — sibling loops with skewed
-  /// extents don't inflate it.
+  /// coordinate box is the producer's own enclosing-loop ranges (Depth
+  /// entries at BoxOff in the box arena), so a slab is exactly as large as
+  /// the set of keys the producer can ever register — sibling loops with
+  /// skewed extents don't inflate it.
   struct EventRec {
     uint64_t TimesOff = 0;
     uint64_t CoordCount = 1;
     uint32_t WgSlots = 1;
-    uint32_t Depth = 0;    ///< Number of enclosing loops of the producer.
-    uint32_t ChainOff = 0; ///< Producer's enclosing loop ops (dense ids).
+    uint32_t Depth = 0;  ///< Number of enclosing loops of the producer.
+    uint32_t BoxOff = 0; ///< Producer's enclosing loop ranges.
     bool WgReplicated = false;
     bool Known = false; ///< Produced inside the grid body.
+  };
+
+  /// The coordinates one enclosing loop iterates over, across all its
+  /// instantiations: [Min, Min + Extent).
+  struct CoordBox {
+    int64_t Min = 0;
+    uint64_t Extent = 0;
   };
 
   /// Outstanding body-instance count per loop instance (one For op entered
@@ -290,18 +328,16 @@ private:
   void indexOps(const IRBlock &Block);
   uint32_t assignDense(const Operation &Op);
   void buildTemplates(const IRModule &Module, const Operation &Grid,
-                      const SharedAllocation *Alloc);
+                      const ScalarEnv &Base, const SharedAllocation *Alloc);
   void buildUnits(const Operation &Grid, const ScalarEnv &Base);
-  void expandShards(const ScalarEnv &Base, const SimHints *Hints,
-                    SimWorkerPool *Pool, const Cancellation *Cancel,
-                    const char *CheckpointLabel);
+  void expandShards(const ScalarEnv &Base, SimWorkerPool *Pool,
+                    const Cancellation *Cancel, const char *CheckpointLabel);
   void expandUnitRange(ShardBuf &B, size_t Begin, size_t End,
                        const Cancellation *Cancel,
                        const char *CheckpointLabel);
   void expandShardBlock(ShardBuf &B, const IRBlock &Block);
   void expandShardOp(ShardBuf &B, const Operation &Op);
-  void pushInstance(ShardBuf &B, const OpRec &T, uint32_t OpIdx, int64_t Wg,
-                    size_t Agent);
+  void fillTables(OpRec &Rec);
   void mergeShards(size_t NumShards);
   void buildEventTables(SimWorkerPool *Pool);
 
@@ -312,14 +348,15 @@ private:
   bool coordIndex(const EventRec &Rec, const int64_t *C, uint32_t Len,
                   int64_t Last, uint64_t &Out) const {
     uint64_t Idx = 0;
-    const uint32_t *Chain = ChainArena.data() + Rec.ChainOff;
+    const CoordBox *Box = Boxes.data() + Rec.BoxOff;
     for (uint32_t D = 0; D < Len; ++D) {
-      const OpRec &Loop = Ops[Chain[D]];
       int64_t Coord = (D + 1 == Len) ? Last : C[D];
-      if (Coord < Loop.MinCoord || Coord > Loop.MaxCoord)
+      // Below Min wraps around to an offset past any extent.
+      uint64_t Off =
+          static_cast<uint64_t>(Coord) - static_cast<uint64_t>(Box[D].Min);
+      if (Off >= Box[D].Extent)
         return false;
-      Idx = Idx * static_cast<uint64_t>(Loop.MaxCoord - Loop.MinCoord + 1) +
-            static_cast<uint64_t>(Coord - Loop.MinCoord);
+      Idx = Idx * Box[D].Extent + Off;
     }
     Out = Idx;
     return true;
@@ -347,21 +384,25 @@ private:
     return true;
   }
 
-  std::vector<InstRec> Insts;
-  std::vector<std::vector<uint32_t>> Streams; ///< Instance indices per agent.
-  std::vector<int64_t> Coords;                ///< Iteration-coordinate arena.
-  std::vector<uint32_t> LoopPaths;            ///< Loop-instance-path arena.
+  std::vector<std::vector<InstRec>> Streams; ///< Instances per agent.
+  std::vector<int64_t> Coords;               ///< Iteration-coordinate arena.
+  std::vector<uint32_t> LoopPaths;           ///< Loop-instance-path arena.
+  /// Per-(op, warpgroup) tables first (FixedPreconds / FixedSmem entries),
+  /// then the entries of loop-dependent instances.
   std::vector<PrecondDesc> Preconds;
-  std::vector<SmemPre> SmemPres;
+  std::vector<int64_t> SmemLo; ///< Buffer byte offsets, per SmemSite.
+  uint32_t FixedPreconds = 0, FixedSmem = 0;
   std::vector<OpRec> Ops;
   std::vector<PrecondTmpl> PrecondTmpls; ///< Per-op template arenas.
-  std::vector<SmemTmpl> SmemTmpls;
+  std::vector<SmemSite> SmemSites;
+  ScalarEnv TableEnv; ///< Base environment the tables are evaluated under.
   std::vector<uint32_t> OpDense; ///< OpId -> dense op index (~0u absent).
   std::vector<EventRec> Events;  ///< Indexed by EventId.
   std::vector<std::pair<EventId, OpId>> KnownEvents;
   std::vector<double> Times; ///< Shared completion-time arena (NaN = absent).
   std::vector<LoopInst> Loops;
   std::vector<uint32_t> ChainArena; ///< Enclosing-loop dense ids per op.
+  std::vector<CoordBox> Boxes;      ///< Per-event producer loop ranges.
   std::vector<TopUnit> Units;       ///< Top-level expansion work list.
   std::vector<ShardBuf> Shards;     ///< Per-shard buffers (pooled).
 

@@ -46,14 +46,34 @@ struct Cost {
   double IssueCycles = 0;   ///< Time the issuing agent is occupied.
   double UnitCycles = 0;    ///< Occupancy of the shared unit (TMA/TC).
   double Latency = 0;       ///< Extra completion latency after transfer.
+  double Flops = 0;         ///< Useful work (calls only).
   enum class UnitKind : uint8_t { None, Tma, TensorCore } Unit = UnitKind::None;
 };
 
-/// Shared-memory access trace entry for the WAR race detector: the
-/// schedule's access (whose op id, warpgroup and iteration hash identify
-/// the instance, so it is never raced against itself) and when it ran.
-struct SmemAccess : Schedule::SmemPre {
+/// Shared-memory access trace entry for the WAR race detector: a byte
+/// range one instance touched and when it ran. The instance identifies
+/// the access, so it is never raced against itself.
+struct SmemAccess {
+  const Schedule::InstRec *Inst = nullptr;
+  TensorId Tensor = InvalidTensorId;
+  int32_t Wg = -1;
+  bool Write = false;
+  int64_t Lo = 0, Hi = 0; ///< Byte range.
   double Start = 0, End = 0;
+};
+
+/// One agent of the scheduler: its next instance (the head), when it is
+/// free to issue, and how far the head's readiness check has got.
+struct AgentState {
+  const Schedule::InstRec *Head = nullptr, *End = nullptr;
+  double Ready = 0.0;
+  /// The head's final precondition time once a check found it ready (NaN
+  /// until then).
+  double HeadWait = 0.0;
+  /// The head's check so far: the preconditions it found met and the
+  /// completion slot that failed it (Schedule::NoSlot when the failure
+  /// was not an empty slot, or no check has failed).
+  Schedule::Check Progress;
 };
 
 /// All per-run state of the timing simulator, pooled across runs: every
@@ -65,14 +85,7 @@ struct TimerScratch {
   std::vector<Cost> Costs; ///< Indexed by the schedule's dense op index.
   std::vector<SmemAccess> Accesses;
   // Scheduler / race-detector scratch.
-  std::vector<size_t> Cursor;
-  std::vector<double> Ready;
-  /// Per agent: the head's final precondition time once a check found it
-  /// ready (NaN until then), and the completion slot that failed its last
-  /// check (Schedule::NoSlot when the failure was not an empty slot, or no
-  /// check has failed).
-  std::vector<double> HeadWait;
-  std::vector<uint64_t> HeadBlockedAt;
+  std::vector<AgentState> Agents;
   std::vector<uint32_t> RaceWrites, RaceReads;
 };
 
@@ -146,6 +159,7 @@ private:
       return C;
     }
     assert(Op.Kind == OpKind::Call && "costOf expects copies or calls");
+    C.Flops = Op.Flops;
     if (Op.Unit == ExecUnit::TensorCore) {
       C.Unit = Cost::UnitKind::TensorCore;
       C.IssueCycles = Config.SimtLatency;
@@ -164,10 +178,16 @@ private:
     const Schedule &Sched = S.Sched;
     const size_t NumAgents = Sched.numAgents();
     const double NaN = std::numeric_limits<double>::quiet_NaN();
-    S.Cursor.assign(NumAgents, 0);
-    S.Ready.assign(NumAgents, 0.0);
-    S.HeadWait.assign(NumAgents, NaN);
-    S.HeadBlockedAt.assign(NumAgents, Schedule::NoSlot);
+    S.Agents.resize(NumAgents);
+    for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
+      const std::vector<Schedule::InstRec> &Stream = Sched.stream(Agent);
+      AgentState &A = S.Agents[Agent];
+      A.Head = Stream.data();
+      A.End = Stream.data() + Stream.size();
+      A.Ready = 0.0;
+      A.HeadWait = NaN;
+      A.Progress = Schedule::Check();
+    }
     S.Accesses.clear();
 
     // Time-ordered scheduling: of all agents whose next instruction has
@@ -177,11 +197,11 @@ private:
     // warp scheduler does not do.)
     //
     // Each head is checked incrementally. Completion slots are written
-    // once per run and never cleared, and Schedule::ready stops at the
-    // first unmet precondition, so a ready head's wait time is final
-    // (HeadWait), and a head that failed on an empty slot fails the same
-    // way until that slot fills (HeadBlockedAt): skipping it costs one
-    // load. A failure without an empty slot is re-checked every step.
+    // once per run and never cleared, so a ready head's wait time is final
+    // (HeadWait), a failed check resumes at the precondition that failed
+    // it, and a head that failed on an empty slot fails the same way until
+    // that slot fills (Progress.BlockedAt): skipping it costs one load. A
+    // failure without an empty slot is re-checked every step.
     //
     // Start times never decrease from one step to the next: the chosen
     // head starts no earlier than any other ready head, and a head this
@@ -195,60 +215,55 @@ private:
         Failure = SchedCheck.diagnostic("simulation event relaxation");
         return;
       }
-      size_t BestAgent = ~size_t(0);
-      double BestStart = 0.0, BestWait = 0.0;
+      AgentState *Best = nullptr;
+      double BestStart = 0.0;
       bool AnyPending = false;
-      for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
-        const std::vector<uint32_t> &Stream = Sched.stream(Agent);
-        if (S.Cursor[Agent] >= Stream.size())
+      for (AgentState &A : S.Agents) {
+        if (A.Head == A.End)
           continue;
         AnyPending = true;
-        double &WaitTime = S.HeadWait[Agent];
-        if (std::isnan(WaitTime)) {
-          uint64_t &Blocked = S.HeadBlockedAt[Agent];
+        if (std::isnan(A.HeadWait)) {
+          uint64_t Blocked = A.Progress.BlockedAt;
           if (Blocked != Schedule::NoSlot && !Sched.filled(Blocked))
             continue;
-          double Wait;
-          if (!Sched.ready(Sched.inst(Stream[S.Cursor[Agent]]),
-                           Config.BarrierLatency, Wait, Blocked))
+          if (!Sched.ready(*A.Head, Config.BarrierLatency, A.Progress))
             continue;
-          WaitTime = Wait;
+          A.HeadWait = A.Progress.WaitTime;
         }
-        double Start = std::max(S.Ready[Agent], WaitTime);
-        if (BestAgent == ~size_t(0) || Start < BestStart) {
-          BestAgent = Agent;
+        double Start = std::max(A.Ready, A.HeadWait);
+        if (!Best || Start < BestStart) {
+          Best = &A;
           BestStart = Start;
-          BestWait = WaitTime;
         }
       }
       if (!AnyPending)
         break;
-      if (BestAgent == ~size_t(0)) {
-        for (size_t Agent = 0; Agent < NumAgents; ++Agent)
-          if (S.Cursor[Agent] < Sched.stream(Agent).size()) {
+      if (!Best) {
+        for (size_t Agent = 0; Agent < NumAgents; ++Agent) {
+          const AgentState &A = S.Agents[Agent];
+          if (A.Head != A.End) {
             Failure = Diagnostic(formatString(
                 "simulation deadlock: agent %zu blocked at instruction %zu "
                 "(missing event producer)",
-                Agent, S.Cursor[Agent]));
+                Agent,
+                static_cast<size_t>(A.Head - Sched.stream(Agent).data())));
             return;
           }
+        }
       }
-      executeInstance(
-          Sched.inst(Sched.stream(BestAgent)[S.Cursor[BestAgent]]),
-          S.Ready[BestAgent], BestWait);
-      ++S.Cursor[BestAgent];
-      S.HeadWait[BestAgent] = NaN;
-      S.HeadBlockedAt[BestAgent] = Schedule::NoSlot;
+      executeInstance(*Best->Head, Best->Ready, Best->HeadWait);
+      ++Best->Head;
+      Best->HeadWait = NaN;
+      Best->Progress = Schedule::Check();
     }
-    for (size_t Agent = 0; Agent < NumAgents; ++Agent)
-      Finish = std::max(Finish, S.Ready[Agent]);
+    for (const AgentState &A : S.Agents)
+      Finish = std::max(Finish, A.Ready);
     // Outstanding async completions also bound the block time.
     Finish = std::max(Finish, LastCompletion);
   }
 
   void executeInstance(const Schedule::InstRec &Inst, double &Ready,
                        double WaitTime) {
-    const Operation &Op = *Inst.Op;
     const Cost &C = S.Costs[Inst.OpIdx];
 
     double Start = std::max(Ready, WaitTime);
@@ -270,15 +285,16 @@ private:
       Ready = Completion;
     }
     LastCompletion = std::max(LastCompletion, Completion);
-
-    if (Op.Kind == OpKind::Call)
-      BlockFlops += Op.Flops;
+    BlockFlops += C.Flops;
 
     S.Sched.complete(Inst, Completion);
 
-    const Schedule::SmemPre *Pre = S.Sched.smem(Inst);
-    for (uint32_t I = 0; I < Inst.SmemCount; ++I, ++Pre)
-      S.Accesses.push_back({*Pre, Start, Completion});
+    const Schedule::SmemSite *Site = S.Sched.smemSites(Inst);
+    const int64_t *Lo = S.Sched.smemLo(Inst);
+    uint32_t Count = S.Sched.ops()[Inst.OpIdx].SmemCount;
+    for (uint32_t I = 0; I < Count; ++I)
+      S.Accesses.push_back({&Inst, Site[I].Tensor, Inst.Wg, Site[I].Write,
+                            Lo[I], Lo[I] + Site[I].Bytes, Start, Completion});
   }
 
   //===--- Race detection ----------------------------------------------------===//
@@ -287,7 +303,7 @@ private:
     // Same-tensor conflicts are real too: an unsynchronized loop would
     // overwrite a buffer another iteration is still reading. Only the
     // exact same instance (and the read side of its own write) is exempt.
-    if (A.Op == B.Op && A.Wg == B.Wg && A.IterHash == B.IterHash)
+    if (A.Inst == B.Inst)
       return false;
     if (!(A.Write || B.Write))
       return false;

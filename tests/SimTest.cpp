@@ -15,6 +15,7 @@
 #include "backend/CpuLowering.h"
 #include "kernels/Kernels.h"
 #include "runtime/Runtime.h"
+#include "runtime/Session.h"
 #include "sim/LeafRegistry.h"
 #include "sim/Simulator.h"
 #include "support/Cancel.h"
@@ -377,9 +378,10 @@ struct BlockModule {
     return Op.Result;
   }
 
-  ErrorOr<SimResult> run(const Cancellation *Cancel = nullptr) const {
+  ErrorOr<SimResult> run(const Cancellation *Cancel = nullptr,
+                         SimWorkerPool *Pool = nullptr) const {
     return simulate(Module, Alloc, SimConfig(), LeafRegistry::sharedBuiltins(),
-                    {}, nullptr, nullptr, Cancel);
+                    {}, nullptr, Pool, Cancel);
   }
 };
 
@@ -481,6 +483,111 @@ TEST(Timing, WriteOverAnInFlightReadIsARace) {
   ASSERT_EQ(Result->Races.size(), 1u);
   EXPECT_EQ(Result->Races[0], "shared-memory hazard between tile and tile "
                               "(aliased bytes [0, 1024) overlap in time)");
+}
+
+namespace {
+
+/// A two-warpgroup pipeline whose consumers pick the producer replica by a
+/// loop-dependent index, so their precondition descriptors differ from one
+/// iteration to the next. (No compiled kernel indexes a warpgroup by a
+/// loop variable.) The DMA agent refills a two-buffer ring with no
+/// write-after-read edge, so the trace also holds races.
+void buildLoopIndexedWarpgroups(BlockModule &B) {
+  const int64_t Wgs = 2, Trips = 6;
+  TensorType Tile{Shape({64, 64}), ElementType::F16};
+  TensorId Src = B.Module.addTensor("src", Tile, Memory::Global);
+  TensorId Ring = B.Module.addTensor("ring", Tile, Memory::Shared);
+  B.Module.tensor(Ring).PipelineDepth = 2;
+  B.Alloc.Entries.push_back({Ring, 0, 2 * Tile.sizeBytes()});
+  B.Alloc.buildIndex();
+
+  Operation &Loop = B.loop(B.Grid->Body, Trips, 0);
+  ScalarExpr K = ScalarExpr::loopVar(0, "k0");
+  ScalarExpr Wg = ScalarExpr::procIndex(Processor::Warpgroup);
+  EventType PerWg;
+  PerWg.Dims.push_back({Wgs, Processor::Warpgroup});
+  auto Ref = [](EventId Event, std::optional<ScalarExpr> Index,
+                int64_t Lag = 0) {
+    EventRef R = EventRef::unit(Event);
+    R.Indices.push_back(Index ? EventIndex::expr(*Index)
+                              : EventIndex::broadcast());
+    R.IterLag = Lag;
+    return R;
+  };
+  auto OnEveryWarpgroup = [&](Operation &Op, const char *Name) {
+    Op.VecContext.push_back({Wgs, Processor::Warpgroup});
+    Op.Result = B.Module.addEvent(Name, PerWg);
+  };
+
+  Operation &Load = B.append(Loop.Body, OpKind::Copy);
+  Load.DmaAgent = true;
+  Load.Unit = ExecUnit::TMA;
+  Load.CopySrc = TensorSlice::whole(Src);
+  Load.CopyDst = TensorSlice::whole(Ring);
+  Load.CopyDst.BufferIndex = K.mod(2);
+  OnEveryWarpgroup(Load, "loaded");
+
+  // Both kinds of warpgroup index on one op: (k + wg) mod 2 and wg.
+  Operation &Mma = B.append(Loop.Body, OpKind::Call);
+  Mma.Callee = "mma";
+  Mma.Unit = ExecUnit::TensorCore;
+  Mma.Flops = 4e6;
+  TensorSlice Read = TensorSlice::whole(Ring);
+  Read.BufferIndex = K.mod(2);
+  Mma.Args = {Read};
+  Mma.ArgIsWritten = {false};
+  Mma.Preconds.push_back(Ref(Load.Result, (K + Wg).mod(2)));
+  Mma.Preconds.push_back(Ref(Load.Result, Wg));
+  OnEveryWarpgroup(Mma, "mmad");
+
+  // Only loop-free warpgroup indices: one fixed descriptor table per
+  // replica, next to a lagged broadcast.
+  Operation &Epilogue = B.append(Loop.Body, OpKind::Call);
+  Epilogue.Callee = "epilogue";
+  Epilogue.Flops = 512;
+  Epilogue.Preconds.push_back(Ref(Mma.Result, Wg));
+  Epilogue.Preconds.push_back(Ref(Mma.Result, std::nullopt, /*Lag=*/1));
+  OnEveryWarpgroup(Epilogue, "done");
+
+  // An unreplicated consumer of a replicated event, by a loop index.
+  B.call(Loop.Body, "sync", false);
+  Operation &Sync = *Loop.Body.Ops.back();
+  Sync.Preconds.push_back(Ref(Epilogue.Result, K.mod(2)));
+  Sync.Preconds.push_back(Ref(Mma.Result, std::nullopt));
+}
+
+} // namespace
+
+TEST(Timing, LoopDependentWarpgroupIndicesMatchRecordedResult) {
+  // Recorded before the schedule built loop-free precondition descriptors
+  // once per (op, warpgroup) instead of once per instance; the result
+  // must not move. The six loop iterations are six expansion units, so
+  // pools of 2 and 8 workers shard the loop-dependent entries too.
+  BlockModule B(/*WarpSpecialize=*/true);
+  buildLoopIndexedWarpgroups(B);
+  auto Hazard = [](const char *Bytes) {
+    return std::string("shared-memory hazard between ring and ring "
+                       "(aliased bytes ") +
+           Bytes + " overlap in time)";
+  };
+  const std::string Low = Hazard("[0, 8192)"), High = Hazard("[8192, 16384)");
+  for (unsigned Workers : {0u, 2u, 8u}) {
+    std::unique_ptr<CompilerSession> Pool;
+    if (Workers) {
+      SessionConfig Config;
+      Config.Workers = Workers;
+      Pool = std::make_unique<CompilerSession>(Config);
+    }
+    ErrorOr<SimResult> Result = B.run(nullptr, Pool.get());
+    ASSERT_TRUE(Result) << Result.diagnostic().message();
+    EXPECT_EQ(Result->BlockCycles, 12224.389480512458) << Workers;
+    EXPECT_EQ(Result->TmaBusyCycles, 1890.4615384615381) << Workers;
+    EXPECT_EQ(Result->TensorCoreBusyCycles, 11243.851018973997) << Workers;
+    EXPECT_EQ(Result->Races,
+              std::vector<std::string>(
+                  {Low, Low, Low, Low, High, High, High, High, Low}))
+        << Workers;
+  }
 }
 
 TEST(Timing, DeadlineStopsEventRelaxation) {
