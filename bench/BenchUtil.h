@@ -19,7 +19,7 @@
 
 #include "baselines/Baselines.h"
 #include "kernels/Kernels.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 
 #include <algorithm>
 #include <cctype>
@@ -98,7 +98,7 @@ inline std::string jsonEscape(const std::string &S) {
 struct OwnedKernel {
   std::unique_ptr<TaskRegistry> Registry;
   std::unique_ptr<MappingSpec> Mapping;
-  std::unique_ptr<CompiledKernel> Kernel;
+  std::shared_ptr<const CompiledKernel> Kernel;
 };
 
 template <typename RegisterFn, typename MappingFn, typename ArgsFn>
@@ -113,8 +113,9 @@ OwnedKernel compileOwned(const char *Name, RegisterFn Register,
   Input.Mapping = Owned.Mapping.get();
   Input.Machine = &MachineModel::h100();
   Input.EntryArgTypes = BuildArgs();
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, Name);
+  // A fresh registry never hits a cache, so a private session is enough.
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, Name);
   if (!Kernel) {
     std::fprintf(stderr, "error: %s: %s\n", Name,
                  Kernel.diagnostic().message().c_str());

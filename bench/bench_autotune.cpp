@@ -25,20 +25,21 @@ using namespace cypress::bench;
 namespace {
 
 /// One sweep's result plus the session kernel-cache delta it caused
-/// (CompilerSession::cacheStats() before/after): the observability
+/// (CompilerSession::stats() before/after): the observability
 /// counters the JSON summary blocks report alongside the tuner's own
 /// cost-cache hit/miss totals.
 struct SweepReport {
   TuneResult Result;
-  CacheStats SessionDelta;
+  SessionStats SessionDelta;
 };
 
 SweepReport runSweep(Tuner &Tuner, CompilerSession &Session,
                      const KernelSearchSpec &Spec, const SimConfig &Sim) {
   SweepReport Report;
-  CacheStats Before = Session.cacheStats();
-  Report.Result = Tuner.tune(Spec, MachineModel::h100(), Sim);
-  CacheStats After = Session.cacheStats();
+  SessionStats Before = Session.stats();
+  Report.Result =
+      Tuner.tuneBudgeted(Spec, MachineModel::h100(), TuneBudget(), Sim);
+  SessionStats After = Session.stats();
   Report.SessionDelta.Hits = After.Hits - Before.Hits;
   Report.SessionDelta.Misses = After.Misses - Before.Misses;
   Report.SessionDelta.Entries = After.Entries;

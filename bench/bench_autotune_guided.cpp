@@ -12,7 +12,7 @@
 /// ladder rungs warm-start from the tuner's content-keyed cost cache, so
 /// the output also exercises the cache-observability counters: per-run
 /// cost-cache hit/miss totals and the per-kernel CompilerSession
-/// cacheStats() delta. Under CYPRESS_BENCH_JSON the result is dumped as
+/// stats() delta. Under CYPRESS_BENCH_JSON the result is dumped as
 /// BENCH_autotune_guided.json (schema in docs/BENCHMARKS.md). Everything
 /// except the wall-clock columns is deterministic: the search visits the
 /// same points in the same order at any worker count, so the best-found
@@ -40,7 +40,7 @@ struct KernelReport {
   size_t SpacePoints = 0;
   size_t SpaceFeasible = 0;
   std::vector<BudgetRun> Runs;
-  CacheStats SessionDelta;
+  SessionStats SessionDelta;
 };
 
 KernelReport runLadder(const char *Kernel, CompilerSession &Session,
@@ -52,7 +52,7 @@ KernelReport runLadder(const char *Kernel, CompilerSession &Session,
   Report.SpacePoints = Space.size();
   Report.SpaceFeasible = Space.feasibleCount();
 
-  CacheStats Before = Session.cacheStats();
+  SessionStats Before = Session.stats();
   Tuner Tuner(Session);
   for (size_t Budget : Ladder) {
     BudgetRun Run;
@@ -62,7 +62,7 @@ KernelReport runLadder(const char *Kernel, CompilerSession &Session,
     Run.Result = Tuner.tuneBudgeted(Spec, MachineModel::h100(), Limits);
     Report.Runs.push_back(std::move(Run));
   }
-  CacheStats After = Session.cacheStats();
+  SessionStats After = Session.stats();
   Report.SessionDelta.Hits = After.Hits - Before.Hits;
   Report.SessionDelta.Misses = After.Misses - Before.Misses;
   Report.SessionDelta.Entries = After.Entries;

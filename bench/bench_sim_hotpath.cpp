@@ -132,8 +132,8 @@ std::vector<GuidedFamily> timeGuidedSample(size_t PointsPerFamily, int Runs) {
       MappingSpec Mapping = Spec.BuildMapping(Cand.Point);
       CompileInput Input{&Registry, &Mapping, &H100,
                          Spec.BuildArgs(Cand.Point)};
-      ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-          compileKernel(Input, F.Name);
+      CompilerSession Session;
+      auto Kernel = Session.compile(Input, F.Name);
       if (!Kernel)
         continue;
       const CompiledKernel &K = **Kernel;
@@ -257,8 +257,9 @@ int main() {
     CompilerSession Session;
     Tuner SweepTuner(Session);
     Clock::time_point SweepStart = Clock::now();
-    TuneResult Result = SweepTuner.tune(gemmSearchSpec(Base, gemmSweepAxes()),
-                                        MachineModel::h100());
+    TuneResult Result =
+        SweepTuner.tuneBudgeted(gemmSearchSpec(Base, gemmSweepAxes()),
+                                MachineModel::h100(), TuneBudget());
     double Millis = millisSince(SweepStart);
     if (Attempt == 0)
       continue; // Warmup: first sweep pays first-touch page faults.

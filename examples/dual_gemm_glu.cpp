@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Kernels.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 #include "support/Random.h"
 
 #include <cstdio>
@@ -33,8 +33,8 @@ int main() {
   MappingSpec Mapping = dualGemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      dualGemmArgTypes(Config)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Fused =
-      compileKernel(Input, "dual_gemm");
+  CompilerSession Session;
+  auto Fused = Session.compile(Input, "dual_gemm");
   if (!Fused) {
     std::fprintf(stderr, "compile error: %s\n",
                  Fused.diagnostic().message().c_str());
@@ -74,8 +74,8 @@ int main() {
   MappingSpec GemmMap = gemmMapping(Big);
   CompileInput GemmIn{&BigRegistry, &GemmMap, &MachineModel::h100(),
                       gemmArgTypes(Big)};
-  auto FusedBig = compileKernel(DualIn, "dual_big");
-  auto Plain = compileKernel(GemmIn, "gemm_big");
+  auto FusedBig = Session.compile(DualIn, "dual_big");
+  auto Plain = Session.compile(GemmIn, "gemm_big");
   if (FusedBig && Plain) {
     SimConfig Sim;
     double FusedSec = (*FusedBig)->runTiming(Sim)->TotalSeconds;

@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Kernels.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 #include "support/Random.h"
 
 #include <cmath>
@@ -60,8 +60,8 @@ int main() {
   MappingSpec Mapping = attentionMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      attentionArgTypes(Config)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "fa2");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "fa2");
   if (!Kernel) {
     std::fprintf(stderr, "compile error: %s\n",
                  Kernel.diagnostic().message().c_str());
@@ -103,7 +103,7 @@ int main() {
     MappingSpec BigMapping = attentionMapping(Big);
     CompileInput BigInput{&BigRegistry, &BigMapping, &MachineModel::h100(),
                           attentionArgTypes(Big)};
-    auto BigKernel = compileKernel(BigInput, Staged ? "fa3" : "fa2");
+    auto BigKernel = Session.compile(BigInput, Staged ? "fa3" : "fa2");
     if (BigKernel)
       std::printf("SeqLen 8192 %s: %.0f TFLOP/s\n",
                   Staged ? "FA3 (staged scores)" : "FA2",

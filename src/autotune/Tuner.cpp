@@ -7,7 +7,6 @@
 #include "autotune/Tuner.h"
 
 #include "support/FaultInjection.h"
-#include "support/Format.h"
 #include "support/Random.h"
 
 #include <algorithm>
@@ -275,55 +274,6 @@ Tuner::evaluateBatch(const KernelSearchSpec &Spec, TaskRegistry &Registry,
   return Rows;
 }
 
-TuneResult Tuner::tune(const KernelSearchSpec &Spec,
-                       const MachineModel &Machine, const SimConfig &Sim) {
-  MappingSpace Space(Spec, Machine);
-
-  TuneResult Result;
-  Result.Stats.Candidates = Space.size();
-  if (Space.size() > ExhaustiveCandidateCap) {
-    // Refuse rather than materialize: like the simulator's event-slot
-    // cap, a diagnostic beats an out-of-memory kill.
-    Result.Error = formatString(
-        "mapping space has %zu candidates, over the exhaustive sweep cap "
-        "of %zu; search it with tuneBudgeted()",
-        Space.size(), ExhaustiveCandidateCap);
-    return Result;
-  }
-
-  // One registry per kernel family, shared across sweeps: tuning only
-  // edits the mapping, never the logical description (Section 5.4), and a
-  // stable registry identity is what makes candidate cache keys stable.
-  TaskRegistry &Registry = registryFor(Spec);
-
-  std::vector<TuningPoint> Feasible;
-  std::vector<CandidateResult> PrunedRows;
-  for (const MappingSpace::Candidate &Cand : Space.candidates()) {
-    if (Cand.feasible()) {
-      Feasible.push_back(Cand.Point);
-      continue;
-    }
-    CandidateResult Row;
-    Row.Point = Cand.Point;
-    Row.Status = CandidateStatus::Pruned;
-    Row.Detail = Cand.Rejection->message();
-    PrunedRows.push_back(std::move(Row));
-  }
-  Result.Stats.Pruned = PrunedRows.size();
-
-  Result.Landscape =
-      evaluateBatch(Spec, Registry, Machine, Sim, simDigest(Sim),
-                    std::move(Feasible), CompileOptions(), Result.Stats);
-  Result.Landscape.reserve(Space.size());
-  for (CandidateResult &Row : PrunedRows)
-    Result.Landscape.push_back(std::move(Row));
-
-  Result.Stats.Session = Session->cacheStats();
-  Result.Partial = Result.Stats.Quarantined > 0;
-  rankLandscape(Result.Landscape);
-  return Result;
-}
-
 TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
                                const MachineModel &Machine,
                                const TuneBudget &Budget,
@@ -336,6 +286,9 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
   };
 
   MappingSpace Space(Spec, Machine);
+  // One registry per kernel family, shared across searches: tuning only
+  // edits the mapping, never the logical description (Section 5.4), and a
+  // stable registry identity is what makes candidate cache keys stable.
   TaskRegistry &Registry = registryFor(Spec);
   const Digest128 SimKey = simDigest(Sim);
 
@@ -352,7 +305,7 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
   // best-so-far is legitimately empty.
   if (StopCheck.enabled() && StopCheck.shouldStopNow()) {
     Result.Partial = true;
-    Result.Stats.Session = Session->cacheStats();
+    Result.Stats.Session = Session->stats();
     return Result;
   }
 
@@ -370,17 +323,27 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
   if (Space.size() <= SmallSpaceThreshold &&
       (Budget.MaxEvals == 0 || Budget.MaxEvals >= Space.feasibleCount())) {
     std::vector<TuningPoint> Feasible;
-    for (const MappingSpace::Candidate &Cand : Space.candidates())
-      if (Cand.feasible())
+    std::vector<CandidateResult> PrunedRows;
+    for (const MappingSpace::Candidate &Cand : Space.candidates()) {
+      if (Cand.feasible()) {
         Feasible.push_back(Cand.Point);
-    Result.Stats.Pruned = Space.prunedCount();
+        continue;
+      }
+      CandidateResult Row;
+      Row.Point = Cand.Point;
+      Row.Detail = Cand.Rejection->message();
+      PrunedRows.push_back(std::move(Row));
+    }
+    Result.Stats.Pruned = PrunedRows.size();
     Result.Landscape =
         evaluateBatch(Spec, Registry, Machine, Sim, SimKey,
                       std::move(Feasible), Options, Result.Stats);
+    for (CandidateResult &Row : PrunedRows)
+      Result.Landscape.push_back(std::move(Row));
     Result.Stats.Rounds = 1;
     rankLandscape(Result.Landscape);
     Result.Curve.push_back({Result.Stats.Evals, BestTFlops(), ElapsedMs()});
-    Result.Stats.Session = Session->cacheStats();
+    Result.Stats.Session = Session->stats();
     Result.Partial = Result.Stats.Quarantined > 0;
     return Result;
   }
@@ -529,7 +492,7 @@ TuneResult Tuner::tuneBudgeted(const KernelSearchSpec &Spec,
     RoundSize = std::max(MinRound, RoundSize / 2);
   }
 
-  Result.Stats.Session = Session->cacheStats();
+  Result.Stats.Session = Session->stats();
   Result.Partial = Result.Partial || Result.Stats.Quarantined > 0;
   rankLandscape(Result.Landscape);
   return Result;

@@ -914,13 +914,10 @@ ErrorOr<IRModule> cypress::runDependenceAnalysis(const CompileInput &Input) {
 }
 
 namespace {
-/// Builds the module from the user's task bodies. Its output is the only
-/// one no earlier check covers, so the pipeline verifies it even when
-/// per-pass verification is off.
+/// Builds the module from the user's task bodies.
 class DependenceAnalysisPass : public Pass {
 public:
   const char *name() const override { return "dependence-analysis"; }
-  bool verifyAlways() const override { return true; }
   ErrorOrVoid run(PipelineState &State) override {
     ErrorOr<IRModule> Module = runDependenceAnalysis(*State.Input);
     if (!Module)

@@ -137,7 +137,7 @@ ErrorOr<IRModule> PassPipeline::run(const CompileInput &Input,
          << printModule(State.Module) << '\n';
     }
 
-    if ((VerifyEachPass || P->verifyAlways()) && P->verifyAfter()) {
+    if (P->verifyAfter()) {
       Clock::time_point VerifyStart = Clock::now();
       ErrorOrVoid Verified = verifyModule(State.Module);
       Stat.VerifyMicros = microsSince(VerifyStart);

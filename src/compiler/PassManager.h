@@ -92,15 +92,11 @@ public:
 
   virtual ErrorOrVoid run(PipelineState &State) = 0;
 
-  /// False for passes whose output intentionally violates an IR invariant
-  /// that a later registered pass restores (resource allocation's WAR edges
-  /// may cross loop scopes until repair-event-scopes runs).
+  /// Whether the pipeline runs verifyModule on this pass's output. False
+  /// for passes whose output intentionally violates an IR invariant that a
+  /// later registered pass restores (resource allocation's WAR edges may
+  /// cross loop scopes until repair-event-scopes runs).
   virtual bool verifyAfter() const { return true; }
-
-  /// True for a pass whose output the pipeline verifies even when
-  /// per-pass verification is off (dependence analysis: it alone turns
-  /// user code, the inner task bodies, into IR).
-  virtual bool verifyAlways() const { return false; }
 };
 
 /// A pass defined by a name and a callable; enough for every builtin stage
@@ -135,12 +131,6 @@ public:
 
   size_t size() const { return Passes.size(); }
   const Pass &pass(size_t I) const { return *Passes[I]; }
-
-  /// Run verifyModule after every pass (on by default; turn off for
-  /// release/serving builds where throughput matters). Passes whose
-  /// verifyAlways() holds are verified either way.
-  void setVerifyEachPass(bool Enable) { VerifyEachPass = Enable; }
-  bool verifyEachPass() const { return VerifyEachPass; }
 
   /// Record each pass's heap-allocation count into PassStat::HeapAllocs
   /// (see support/AllocCounter.h). Off by default: counting enables a
@@ -183,7 +173,6 @@ public:
 
 private:
   std::vector<std::unique_ptr<Pass>> Passes;
-  bool VerifyEachPass = true;
   bool CountAllocs = false;
   bool PrintIRAfterAll = false;
   std::ostream *PrintStream = nullptr; ///< nullptr = stderr.

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The public entry point a downstream user programs against: register
-/// tasks, write a mapping, then compile and run kernels on the simulated
-/// H100. `CompiledKernel` bundles the lowered IR, the shared-memory plan,
-/// the generated CUDA text, and simulation entry points.
+/// What a compile produces: `CompiledKernel` bundles the lowered IR, the
+/// shared-memory plan, the generated CUDA text, and simulation entry
+/// points. Kernels come from a CompilerSession (runtime/Session.h) and are
+/// immutable, so one kernel may be run from many threads at once.
 ///
 /// Typical use (see examples/quickstart.cpp):
 ///
@@ -16,10 +16,12 @@
 ///   TaskRegistry Registry;
 ///   registerGemmTasks(Registry);                  // or your own tasks
 ///   MappingSpec Mapping = gemmMapping(M, N, K);   // or your own mapping
-///   auto Kernel = compileKernel({&Registry, &Mapping,
-///                                &MachineModel::h100(), ArgTypes});
-///   SimResult R = Kernel->runTiming();            // paper-style TFLOP/s
-///   Kernel->runFunctional({&A, &B, &C});          // real results
+///   CompilerSession Session;
+///   auto Kernel = Session.compile({&Registry, &Mapping,
+///                                  &MachineModel::h100(), ArgTypes},
+///                                 "gemm");
+///   SimResult R = *(*Kernel)->runTiming();        // paper-style TFLOP/s
+///   (*Kernel)->runFunctional({&C, &A, &B});       // real results
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -31,7 +33,6 @@
 #include "compiler/Passes.h"
 #include "sim/Simulator.h"
 
-#include <memory>
 #include <string>
 
 namespace cypress {
@@ -42,8 +43,7 @@ public:
   CompiledKernel(IRModule Module, SharedAllocation Alloc, std::string Name,
                  PipelineStats Stats = PipelineStats())
       : Module(std::move(Module)), Alloc(std::move(Alloc)),
-        Name(std::move(Name)), Stats(std::move(Stats)),
-        Leaves(&LeafRegistry::sharedBuiltins()) {}
+        Name(std::move(Name)), Stats(std::move(Stats)) {}
 
   const IRModule &module() const { return Module; }
   const SharedAllocation &sharedPlan() const { return Alloc; }
@@ -52,12 +52,6 @@ public:
   /// Per-pass timing and IR-size statistics of the compile that produced
   /// this kernel (empty for hand-assembled kernels).
   const PipelineStats &stats() const { return Stats; }
-
-  /// Extra leaf implementations beyond the builtins. Only user leaves are
-  /// stored here; builtin resolution goes through the shared registry.
-  void addLeaf(std::string LeafName, LeafFn Fn) {
-    Leaves.add(std::move(LeafName), std::move(Fn));
-  }
 
   /// Timing-only simulation (fast; used by the benchmarks and the
   /// autotuner's candidate evaluation). Thread-safe on a shared kernel.
@@ -69,20 +63,21 @@ public:
                                SimWorkerPool *Pool = nullptr,
                                const Cancellation *Cancel = nullptr) const {
     SimHints Hints = simHints();
-    return simulate(Module, Alloc, Config, Leaves, {},
+    return simulate(Module, Alloc, Config, LeafRegistry::sharedBuiltins(), {},
                     Hints.NumOps ? &Hints : nullptr, Pool, Cancel);
   }
 
   /// Timing plus functional execution into \p EntryBuffers (one per entry
-  /// argument, shapes matching the compile-time types).
+  /// argument, shapes matching the compile-time types). Leaf tasks resolve
+  /// through \p Leaves: a caller with its own leaf implementations passes
+  /// a registry that holds them and falls back to sharedBuiltins().
   ErrorOr<SimResult>
   runFunctional(const std::vector<TensorData *> &EntryBuffers,
-                const SimConfig &Config = SimConfig(),
-                SimWorkerPool *Pool = nullptr,
-                const Cancellation *Cancel = nullptr) const {
+                const LeafRegistry &Leaves =
+                    LeafRegistry::sharedBuiltins()) const {
     SimHints Hints = simHints();
-    return simulate(Module, Alloc, Config, Leaves, EntryBuffers,
-                    Hints.NumOps ? &Hints : nullptr, Pool, Cancel);
+    return simulate(Module, Alloc, SimConfig(), Leaves, EntryBuffers,
+                    Hints.NumOps ? &Hints : nullptr);
   }
 
   /// One CUDA emission: the generated text plus the printer's counters
@@ -123,12 +118,7 @@ private:
   SharedAllocation Alloc;
   std::string Name;
   PipelineStats Stats;
-  LeafRegistry Leaves; ///< User leaves; falls back to sharedBuiltins().
 };
-
-/// Runs the full compiler pipeline on \p Input.
-ErrorOr<std::unique_ptr<CompiledKernel>>
-compileKernel(const CompileInput &Input, std::string Name);
 
 } // namespace cypress
 

@@ -18,9 +18,7 @@
 using namespace cypress;
 
 CompilerSession::CompilerSession(SessionConfig Config)
-    : Config(Config), Pipeline(PassPipeline::defaultPipeline()) {
-  Pipeline.setVerifyEachPass(Config.VerifyEachPass);
-}
+    : Config(Config), Pipeline(PassPipeline::defaultPipeline()) {}
 
 CompilerSession::~CompilerSession() {
   Accepting.store(false);
@@ -237,13 +235,13 @@ CompilerSession::compileKeyed(const KernelKey &Key, const CompileInput &Input,
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = Cache.find(Key);
     if (It != Cache.end()) {
-      ++Stats.Hits;
+      ++Hits;
       WasHit = true;
       return It->second;
     }
     // Counted at lookup time so Hits + Misses always equals the number of
     // compile() calls, even when the compile below fails.
-    ++Stats.Misses;
+    ++Misses;
     WasHit = false;
   }
 
@@ -355,12 +353,7 @@ CompilerSession::compileAll(const std::vector<Request> &Requests,
 
 SessionStats CompilerSession::stats() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Stats;
-}
-
-CacheStats CompilerSession::cacheStats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return {Stats.Hits, Stats.Misses, Cache.size()};
+  return {Hits, Misses, Cache.size()};
 }
 
 bool CompilerSession::isCached(const CompileInput &Input) const {

@@ -30,9 +30,9 @@
 /// \endcode
 ///
 /// Cached kernels are shared as pointers-to-const: they are immutable once
-/// compiled, so concurrent callers may run them freely. Kernels that need
-/// extra user leaves (addLeaf) should use compileKernel, which returns an
-/// owned, mutable kernel.
+/// compiled, so concurrent callers may run them freely. User leaf
+/// implementations are passed in when the kernel runs
+/// (CompiledKernel::runFunctional), never stored on it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +64,6 @@ using KernelKey = Digest128;
 struct SessionConfig {
   /// Worker threads used by compileAll; 0 = min(hardware_concurrency, 4).
   unsigned Workers = 0;
-  /// Run the IR verifier between pipeline stages (see PassPipeline). On by
-  /// default; serving deployments can turn it off for compile throughput.
-  /// Read once, when the session builds its pipeline.
-  bool VerifyEachPass = true;
   /// Admission bound: the maximum number of requests (summed across
   /// concurrent compile and compileAll callers) in flight at once. Requests
   /// beyond the bound are shed immediately with a Code::Overloaded
@@ -89,17 +85,12 @@ struct CompileOptions {
 /// in-flight request exits at its next checkpoint with Code::Cancelled.
 enum class ShutdownMode { Drain, Abort };
 
-/// Cache-effectiveness counters (monotonic over the session's lifetime).
+/// One consistent snapshot of the kernel cache, taken under a single lock:
+/// the hit/miss counters (monotonic over the session's lifetime) plus the
+/// number of resident kernels. The autotuner reports it after a sweep
+/// (hits tell it how many candidate evaluations skipped the pass pipeline
+/// entirely).
 struct SessionStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-};
-
-/// One consistent snapshot of the kernel cache: the hit/miss counters plus
-/// the number of resident kernels, taken under a single lock. This is the
-/// observability surface the autotuner reports after a sweep (hits tell it
-/// how many candidate evaluations skipped the pass pipeline entirely).
-struct CacheStats {
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   size_t Entries = 0;
@@ -208,9 +199,8 @@ public:
   void parallelFor(size_t Items,
                    const std::function<void(size_t)> &Fn) override;
 
-  SessionStats stats() const;
   /// Hits, misses, and resident-kernel count in one locked snapshot.
-  CacheStats cacheStats() const;
+  SessionStats stats() const;
   /// True if a compile of \p Input would be served from the cache right
   /// now. Does not count as a hit or miss. Lets callers (the autotuner)
   /// attribute cache effectiveness to their own requests instead of
@@ -271,7 +261,8 @@ private:
   std::unordered_map<KernelKey, std::shared_ptr<const CompiledKernel>,
                      Digest128Hash>
       Cache;
-  SessionStats Stats;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
 
   // Admission control and shutdown (see shutdown()). InFlight counts
   // admitted-but-unfinished requests; DrainCv wakes shutdown when it

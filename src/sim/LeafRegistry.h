@@ -31,9 +31,9 @@ using LeafFn = std::function<void(std::vector<TensorView> &Args,
                                   const std::vector<int64_t> &Scalars)>;
 
 /// Name-to-implementation table for leaf tasks. A registry may delegate
-/// misses to an immutable fallback registry, so per-kernel tables hold only
-/// user-registered leaves and share one builtin table process-wide instead
-/// of copying it per CompiledKernel.
+/// misses to an immutable fallback registry, so a caller's table holds only
+/// its own leaves and shares one builtin table process-wide instead of
+/// copying it per run.
 class LeafRegistry {
 public:
   LeafRegistry() = default;

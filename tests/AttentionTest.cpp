@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Kernels.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -36,7 +36,7 @@ AttentionConfig smallConfig(bool Staged) {
 struct Compiled {
   std::unique_ptr<TaskRegistry> Registry;
   std::unique_ptr<MappingSpec> Mapping;
-  std::unique_ptr<CompiledKernel> Kernel;
+  std::shared_ptr<const CompiledKernel> Kernel;
 };
 
 Compiled compileAttention(const AttentionConfig &Config) {
@@ -47,8 +47,8 @@ Compiled compileAttention(const AttentionConfig &Config) {
       std::make_unique<MappingSpec>(attentionMapping(Config));
   CompileInput Input{Result.Registry.get(), Result.Mapping.get(),
                      &MachineModel::h100(), attentionArgTypes(Config)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "fa");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "fa");
   EXPECT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
   if (Kernel)
     Result.Kernel = std::move(*Kernel);

@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/Baselines.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -31,8 +31,8 @@ double cypressGemmTFlops(const GemmConfig &Config) {
   MappingSpec Mapping = gemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "gemm");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "gemm");
   EXPECT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
   if (!Kernel)
     return 0.0;
@@ -122,7 +122,8 @@ TEST(PaperResults, DualGemmVsTritonInBand) {
   MappingSpec Mapping = dualGemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      dualGemmArgTypes(Config)};
-  auto Kernel = compileKernel(Input, "dual");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "dual");
   ASSERT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
   double Ratio = (*Kernel)->runTiming()->TFlops /
                  tritonDualGemm(Config, Sim).TFlops;
@@ -139,7 +140,8 @@ TEST(PaperResults, GemmRedVsTritonInBand) {
   MappingSpec Mapping = gemmRedMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmRedArgTypes(Config)};
-  auto Kernel = compileKernel(Input, "gemmred");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "gemmred");
   ASSERT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
   double Ratio =
       (*Kernel)->runTiming()->TFlops / tritonGemmRed(Config, Sim).TFlops;
@@ -156,7 +158,8 @@ TEST(PaperResults, AttentionVsBestInBand) {
     MappingSpec Mapping = attentionMapping(Config);
     CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                        attentionArgTypes(Config)};
-    auto Kernel = compileKernel(Input, "fa3");
+    CompilerSession Session;
+    auto Kernel = Session.compile(Input, "fa3");
     ASSERT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
     double Best =
         expertAttention(Config, Sim, AttentionOracle::FlashAttention3)
@@ -176,7 +179,8 @@ TEST(PaperResults, AttentionBeatsTriton) {
     MappingSpec Mapping = attentionMapping(Config);
     CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                        attentionArgTypes(Config)};
-    auto Kernel = compileKernel(Input, "fa2");
+    CompilerSession Session;
+    auto Kernel = Session.compile(Input, "fa2");
     ASSERT_TRUE(Kernel);
     EXPECT_GT((*Kernel)->runTiming()->TFlops,
               tritonAttention(Config, Sim).TFlops)

@@ -12,7 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "kernels/Kernels.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -27,7 +27,7 @@ namespace {
 struct Compiled {
   std::unique_ptr<TaskRegistry> Registry;
   std::unique_ptr<MappingSpec> Mapping;
-  std::unique_ptr<CompiledKernel> Kernel;
+  std::shared_ptr<const CompiledKernel> Kernel;
 };
 
 template <typename RegisterFn, typename MappingFn>
@@ -39,8 +39,8 @@ Compiled compile(const char *Name, RegisterFn Register, MappingFn Build,
   Result.Mapping = std::make_unique<MappingSpec>(Build());
   CompileInput Input{Result.Registry.get(), Result.Mapping.get(),
                      &MachineModel::h100(), std::move(Args)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, Name);
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, Name);
   EXPECT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
   if (Kernel)
     Result.Kernel = std::move(*Kernel);

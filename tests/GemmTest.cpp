@@ -14,7 +14,7 @@
 
 #include "baselines/Baselines.h"
 #include "kernels/Kernels.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -49,7 +49,7 @@ GemmConfig smallConfig() {
   return Config;
 }
 
-std::unique_ptr<CompiledKernel> compileGemm(const GemmConfig &Config) {
+std::shared_ptr<const CompiledKernel> compileGemm(const GemmConfig &Config) {
   auto Registry = std::make_shared<TaskRegistry>();
   registerGemmTasks(*Registry);
   auto Mapping = std::make_shared<MappingSpec>(gemmMapping(Config));
@@ -58,8 +58,8 @@ std::unique_ptr<CompiledKernel> compileGemm(const GemmConfig &Config) {
   Input.Mapping = Mapping.get();
   Input.Machine = &MachineModel::h100();
   Input.EntryArgTypes = gemmArgTypes(Config);
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "gemm");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "gemm");
   EXPECT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
   if (!Kernel)
     return nullptr;
@@ -147,8 +147,8 @@ TEST(Gemm, SingleWarpgroupExceedsRegisterFile) {
   Input.Mapping = &Mapping;
   Input.Machine = &MachineModel::h100();
   Input.EntryArgTypes = gemmArgTypes(Config);
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "gemm");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "gemm");
   ASSERT_FALSE(Kernel);
   EXPECT_NE(Kernel.diagnostic().message().find("register"),
             std::string::npos);
@@ -228,8 +228,8 @@ TEST(BatchedGemm, FunctionalMatchesPerBatchReference) {
   Input.Mapping = &Mapping;
   Input.Machine = &MachineModel::h100();
   Input.EntryArgTypes = batchedGemmArgTypes(Config);
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "bgemm");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "bgemm");
   ASSERT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
 
   TensorData C(batchedGemmArgTypes(Config)[0]);

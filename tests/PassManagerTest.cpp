@@ -130,26 +130,18 @@ TEST(PassManager, VerifierCatchesInjectedMalformedModule) {
   EXPECT_EQ(Stats.Passes.size(), 2u);
 }
 
-TEST(PassManager, VerificationCanBeDisabled) {
-  GemmInput Gemm;
-  PassPipeline Pipeline;
-  Pipeline.addPass(createDependenceAnalysisPass());
-  Pipeline.addPass(makeCorruptingPass());
-  Pipeline.setVerifyEachPass(false);
-  EXPECT_TRUE(Pipeline.run(Gemm.input()));
-}
-
-/// Dependence analysis does not verify its own output; the pipeline does,
-/// even with per-pass verification off, and only there when it is off.
-TEST(PassManager, DependenceAnalysisVerifiedWhenVerifyEachPassIsOff) {
+/// Dependence analysis does not verify its own output; the pipeline does.
+/// Every pass whose verifyAfter() holds is verified, and only those.
+TEST(PassManager, DefaultPipelineVerifiesEveryVerifyAfterPass) {
   GemmInput Gemm;
   PassPipeline Pipeline = PassPipeline::defaultPipeline();
-  Pipeline.setVerifyEachPass(false);
   PipelineStats Stats;
   ASSERT_TRUE(Pipeline.run(Gemm.input(), nullptr, &Stats));
-  ASSERT_EQ(Stats.Passes.size(), 7u);
-  for (const PassStat &S : Stats.Passes) {
-    if (S.Name == "dependence-analysis")
+  ASSERT_EQ(Stats.Passes.size(), Pipeline.size());
+  for (size_t I = 0; I < Pipeline.size(); ++I) {
+    const PassStat &S = Stats.Passes[I];
+    ASSERT_EQ(S.Name, Pipeline.pass(I).name());
+    if (Pipeline.pass(I).verifyAfter())
       EXPECT_GT(S.VerifyMicros, 0.0) << S.Name;
     else
       EXPECT_EQ(S.VerifyMicros, 0.0) << S.Name;

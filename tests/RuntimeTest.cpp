@@ -26,6 +26,7 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -117,49 +118,93 @@ struct UserKernel {
   }
 };
 
+/// A registry that resolves the user kernel's `user_double` leaf to
+/// Out = Factor * X and everything else to the builtins.
+LeafRegistry scaleLeaves(float Factor) {
+  LeafRegistry Leaves(&LeafRegistry::sharedBuiltins());
+  Leaves.add("user_double", [Factor](std::vector<TensorView> &Args,
+                                     const std::vector<int64_t> &) {
+    TensorView &Out = Args[0];
+    TensorView &X = Args[1];
+    int64_t Count = Out.shape().numElements();
+    for (int64_t I = 0; I < Count; ++I) {
+      std::vector<int64_t> Idx = Out.shape().delinearize(I);
+      Out.set(Idx, Factor * X.at(Idx));
+    }
+  });
+  return Leaves;
+}
+
 } // namespace
 
 TEST(Runtime, UserKernelWithCustomLeaf) {
   UserKernel User;
   CompileInput Input{&User.Registry, &User.Mapping, &MachineModel::h100(),
                      User.Args};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "axpy");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "axpy");
   ASSERT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
-
-  (*Kernel)->addLeaf("user_double",
-                     [](std::vector<TensorView> &Args,
-                        const std::vector<int64_t> &) {
-                       TensorView &Out = Args[0];
-                       TensorView &X = Args[1];
-                       int64_t Count = Out.shape().numElements();
-                       for (int64_t I = 0; I < Count; ++I) {
-                         std::vector<int64_t> Idx =
-                             Out.shape().delinearize(I);
-                         Out.set(Idx, 2.0f * X.at(Idx));
-                       }
-                     });
 
   TensorData Out(User.Args[0]);
   TensorData X(User.Args[1]);
   fillRandomFp16(X.raw(), 77);
-  ErrorOr<SimResult> Result = (*Kernel)->runFunctional({&Out, &X});
+  ErrorOr<SimResult> Result =
+      (*Kernel)->runFunctional({&Out, &X}, scaleLeaves(2.0f));
   ASSERT_TRUE(Result) << (Result ? "" : Result.diagnostic().message());
   for (int64_t I = 0; I < 128; I += 17)
     for (int64_t J = 0; J < 64; J += 13)
       EXPECT_FLOAT_EQ(Out.at({I, J}), 2.0f * X.at({I, J}));
 }
 
+/// Leaves travel with the run, not the kernel: two threads run one
+/// session-cached kernel at once, each with its own `user_double`.
+TEST(Runtime, UserLeavesOnASharedCachedKernel) {
+  UserKernel User;
+  CompileInput Input{&User.Registry, &User.Mapping, &MachineModel::h100(),
+                     User.Args};
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "axpy");
+  ASSERT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
+  auto Again = Session.compile(Input, "axpy");
+  ASSERT_TRUE(Again);
+  ASSERT_EQ(Kernel->get(), Again->get()); // One shared, cached kernel.
+
+  TensorData X(User.Args[1]);
+  fillRandomFp16(X.raw(), 77);
+  const float Factors[2] = {2.0f, 3.0f};
+  TensorData Outs[2] = {TensorData(User.Args[0]), TensorData(User.Args[0])};
+  bool Ok[2] = {false, false};
+  const CompiledKernel &Shared = **Kernel;
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 2; ++T)
+    Threads.emplace_back([&, T] {
+      TensorData In = X; // Each run writes only its own buffers.
+      Ok[T] = static_cast<bool>(
+          Shared.runFunctional({&Outs[T], &In}, scaleLeaves(Factors[T])));
+    });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+
+  for (int T = 0; T < 2; ++T) {
+    ASSERT_TRUE(Ok[T]) << "thread " << T;
+    for (int64_t I = 0; I < 128; ++I)
+      for (int64_t J = 0; J < 64; ++J)
+        ASSERT_FLOAT_EQ(Outs[T].at({I, J}), Factors[T] * X.at({I, J}))
+            << "thread " << T << " at (" << I << ", " << J << ")";
+  }
+}
+
 TEST(Runtime, MissingLeafImplementationDiagnosed) {
   UserKernel User;
   CompileInput Input{&User.Registry, &User.Mapping, &MachineModel::h100(),
                      User.Args};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "axpy");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "axpy");
   ASSERT_TRUE(Kernel);
   TensorData Out(User.Args[0]);
   TensorData X(User.Args[1]);
-  // No addLeaf("user_double"): the functional run must fail cleanly.
+  // The builtins alone lack "user_double": the functional run must fail
+  // cleanly and name it.
   ErrorOr<SimResult> Result = (*Kernel)->runFunctional({&Out, &X});
   ASSERT_FALSE(Result);
   EXPECT_NE(Result.diagnostic().message().find("user_double"),
@@ -170,8 +215,8 @@ TEST(Runtime, CompileErrorsPropagate) {
   UserKernel User;
   CompileInput Input{&User.Registry, &User.Mapping, &MachineModel::h100(),
                      {}}; // Wrong arity.
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "axpy");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "axpy");
   ASSERT_FALSE(Kernel);
   EXPECT_NE(Kernel.diagnostic().message().find("entrypoint"),
             std::string::npos);
@@ -187,8 +232,8 @@ TEST(Runtime, ArtifactAccessors) {
   MappingSpec Mapping = gemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "artifacts");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "artifacts");
   ASSERT_TRUE(Kernel);
 
   EXPECT_EQ((*Kernel)->name(), "artifacts");
@@ -216,7 +261,8 @@ TEST(Runtime, TimingIsDeterministic) {
   MappingSpec Mapping = gemmMapping(Config);
   CompileInput Input{&Registry, &Mapping, &MachineModel::h100(),
                      gemmArgTypes(Config)};
-  auto Kernel = compileKernel(Input, "det");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "det");
   ASSERT_TRUE(Kernel);
   double First = (*Kernel)->runTiming()->BlockCycles;
   double Second = (*Kernel)->runTiming()->BlockCycles;
@@ -252,8 +298,8 @@ struct SessionGemm {
 
 TEST(Session, PipelineStatsSurfacedFromCompiledKernel) {
   SessionGemm Gemm(512);
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Gemm.input(), "stats");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Gemm.input(), "stats");
   ASSERT_TRUE(Kernel);
   const PipelineStats &Stats = (*Kernel)->stats();
   ASSERT_EQ(Stats.Passes.size(), 7u);
@@ -499,17 +545,17 @@ TEST(Session, CompileAllIsConcurrentDeterministicAndDeduplicated) {
 
   // Concurrent compilation is deterministic: bit-identical IR to a fresh
   // serial compile of the same inputs.
-  ErrorOr<std::unique_ptr<CompiledKernel>> Serial =
-      compileKernel(Small.input(), "serial");
+  CompilerSession SerialSession;
+  auto Serial = SerialSession.compile(Small.input(), "serial");
   ASSERT_TRUE(Serial);
   EXPECT_EQ((*Results[0])->irDump(), (*Serial)->irDump());
 }
 
-TEST(Session, CacheStatsSnapshotsHitsMissesAndEntries) {
+TEST(Session, StatsSnapshotHitsMissesAndEntries) {
   SessionGemm Small(512), Large(1024);
   CompilerSession Session;
 
-  CacheStats Empty = Session.cacheStats();
+  SessionStats Empty = Session.stats();
   EXPECT_EQ(Empty.Hits, 0u);
   EXPECT_EQ(Empty.Misses, 0u);
   EXPECT_EQ(Empty.Entries, 0u);
@@ -521,20 +567,17 @@ TEST(Session, CacheStatsSnapshotsHitsMissesAndEntries) {
   ASSERT_TRUE(Session.compile(Small.input(), "gemm"));
   ASSERT_TRUE(Session.compile(Large.input(), "gemm"));
 
-  CacheStats Stats = Session.cacheStats();
+  SessionStats Stats = Session.stats();
   EXPECT_EQ(Stats.Hits, 1u);
   EXPECT_EQ(Stats.Misses, 2u);
   EXPECT_EQ(Stats.Entries, 2u);
-  // One consistent snapshot: the counters match the legacy accessors.
-  EXPECT_EQ(Stats.Hits, Session.stats().Hits);
-  EXPECT_EQ(Stats.Misses, Session.stats().Misses);
   EXPECT_EQ(Stats.Entries, Session.cachedKernels());
 
   // Clearing drops the kernels but keeps the monotonic counters; probing
   // never counts as a hit or miss.
   Session.clearCache();
   EXPECT_FALSE(Session.isCached(Small.input()));
-  CacheStats Cleared = Session.cacheStats();
+  SessionStats Cleared = Session.stats();
   EXPECT_EQ(Cleared.Entries, 0u);
   EXPECT_EQ(Cleared.Hits, 1u);
   EXPECT_EQ(Cleared.Misses, 2u);

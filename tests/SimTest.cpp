@@ -199,7 +199,7 @@ namespace {
 struct CompiledGemm {
   std::unique_ptr<TaskRegistry> Registry;
   std::unique_ptr<MappingSpec> Mapping;
-  std::unique_ptr<CompiledKernel> Kernel;
+  std::shared_ptr<const CompiledKernel> Kernel;
 };
 
 CompiledGemm compileGemm(const GemmConfig &Config) {
@@ -209,8 +209,8 @@ CompiledGemm compileGemm(const GemmConfig &Config) {
   Result.Mapping = std::make_unique<MappingSpec>(gemmMapping(Config));
   CompileInput Input{Result.Registry.get(), Result.Mapping.get(),
                      &MachineModel::h100(), gemmArgTypes(Config)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, "gemm");
+  CompilerSession Session;
+  auto Kernel = Session.compile(Input, "gemm");
   EXPECT_TRUE(Kernel) << (Kernel ? "" : Kernel.diagnostic().message());
   if (Kernel)
     Result.Kernel = std::move(*Kernel);

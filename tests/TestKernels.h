@@ -23,7 +23,7 @@
 
 #include "autotune/KernelSpaces.h"
 #include "kernels/Kernels.h"
-#include "runtime/Runtime.h"
+#include "runtime/Session.h"
 #include "support/Random.h"
 
 #include <cmath>
@@ -49,7 +49,7 @@ namespace testkernels {
 struct Compiled {
   std::unique_ptr<TaskRegistry> Registry;
   std::unique_ptr<MappingSpec> Mapping;
-  std::unique_ptr<CompiledKernel> Kernel;
+  std::shared_ptr<const CompiledKernel> Kernel;
   std::string Error; ///< Non-empty when compilation failed (Kernel null).
 };
 
@@ -62,8 +62,10 @@ Compiled compile(const char *Name, RegisterFn Register, MappingFn Build,
   Result.Mapping = std::make_unique<MappingSpec>(Build());
   CompileInput Input{Result.Registry.get(), Result.Mapping.get(),
                      &MachineModel::h100(), std::move(Args)};
-  ErrorOr<std::unique_ptr<CompiledKernel>> Kernel =
-      compileKernel(Input, Name);
+  // A fresh registry never hits a cache, so a private session is enough.
+  CompilerSession Session;
+  ErrorOr<std::shared_ptr<const CompiledKernel>> Kernel =
+      Session.compile(Input, Name);
   if (Kernel)
     Result.Kernel = std::move(*Kernel);
   else
